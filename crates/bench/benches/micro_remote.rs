@@ -2,8 +2,9 @@
 //! `micro_sharded`, with the shard tasks crossing a real TCP hop.
 //!
 //! `remote_measure/W` times the remote MEASURE → RECONSTRUCT pipeline
-//! (`try_run_mechanism_remote_observed`, the same path the engine's serving
-//! loop takes for sharded datasets with a transport configured) against a
+//! (`try_run_mechanism_remote_observed` with a prepared reconstruction, the
+//! same path the engine's serving loop takes for sharded datasets with a
+//! transport configured) against a
 //! pool of W in-process `spawn_worker` loopback workers on a 2¹⁸-cell
 //! domain. Slabs are preloaded, so iterations measure task fan-out — wire
 //! encode, TCP round trip, worker-side contraction, ordered merge — not
@@ -24,7 +25,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdmm_core::{builders, Domain, Plan, QueryEngine, WorkloadGrams};
 use hdmm_engine::{Engine, EngineOptions, PlanStore};
 use hdmm_linalg::{partition_rows, StructuredMatrix};
-use hdmm_mechanism::{DataSlab, NoopObserver, ShardedView, Strategy};
+use hdmm_mechanism::{DataSlab, NoopObserver, PreparedReconstruct, ShardedView, Strategy};
 use hdmm_net::{
     spawn_worker, try_run_mechanism_remote_observed, RemoteExecutor, RemoteOptions, RetryPolicy,
     WorkerHandle, WorkerOptions,
@@ -83,6 +84,7 @@ fn bench_remote_measure(c: &mut Criterion) {
     let (n1, n2) = (1024usize, 256usize); // 2^18 cells
     let workload = builders::prefix_2d(n1, n2);
     let strategy = kron_strategy(n1, n2);
+    let prepared = PreparedReconstruct::new(&strategy);
     let x = data(n1 * n2);
     let view = view_of(&x, n1, SHARDS);
     for &workers in &WORKER_SWEEP {
@@ -95,6 +97,7 @@ fn bench_remote_measure(c: &mut Criterion) {
                 criterion::black_box(try_run_mechanism_remote_observed(
                     &workload,
                     &strategy,
+                    &prepared,
                     "bench",
                     &view,
                     1.0,

@@ -80,9 +80,9 @@ pub struct EngineOptions {
     /// fresh SELECT (best-effort — I/O failures never fail a request).
     pub cache_dir: Option<std::path::PathBuf>,
     /// Remote shard fan-out. With a transport configured, sharded datasets
-    /// MEASURE/RECONSTRUCT over the worker pool (answers stay byte-identical
-    /// to local serving); dense datasets and a fully failed pool serve
-    /// locally. `None` keeps everything in-process.
+    /// MEASURE over the worker pool and RECONSTRUCT on the coordinator
+    /// (answers stay byte-identical to local serving); dense datasets and a
+    /// fully failed pool serve locally. `None` keeps everything in-process.
     pub remote: Option<RemoteOptions>,
     /// Requests slower than this flush their span tree to the collector
     /// eagerly (even when unsampled) and count in
@@ -1195,6 +1195,7 @@ impl Engine {
                     Some(remote) => match try_run_mechanism_remote_traced(
                         workload,
                         plan.strategy(),
+                        &prepared,
                         dataset,
                         &view,
                         eps,
@@ -1224,6 +1225,8 @@ impl Engine {
         .map_err(|e| EngineError::from_mechanism(e, dataset))?;
         // Noise was drawn: the ε is genuinely spent, keep the reservation.
         reservation.commit();
+        self.telemetry
+            .record_reconstruct_solve(prepared.solve_kind());
 
         let id = SessionId(self.next_session.fetch_add(1, Ordering::Relaxed));
         let session = Arc::new(Session::new(

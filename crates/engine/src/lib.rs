@@ -29,8 +29,8 @@
 //!   (select/measure/reconstruct/answer) and serving counters, exported in
 //!   one call via [`Engine::metrics`].
 //! * **Remote shard fan-out** — with [`EngineOptions::remote`] configured,
-//!   sharded datasets MEASURE/RECONSTRUCT over a pool of `hdmm-shard-worker`
-//!   processes ([`hdmm_net`]): per-task timeouts, bounded retry with backoff,
+//!   sharded datasets MEASURE over a pool of `hdmm-shard-worker` processes
+//!   ([`hdmm_net`]) and RECONSTRUCT on the coordinator: per-task timeouts, bounded retry with backoff,
 //!   shard reassignment to surviving workers, per-worker health in
 //!   [`Engine::metrics`] — and byte-identical answers to local serving, even
 //!   through the local fallback taken when the whole pool is down.

@@ -71,6 +71,15 @@ pub fn render_prometheus(m: &EngineMetrics) -> String {
         m.telemetry.remote_fallbacks,
     );
     b.family(
+        "hdmm_reconstruct_total",
+        "Successful releases per RECONSTRUCT solve (closed_form, kron, marginals, \
+         explicit, or the iterative lsmr fallback).",
+        "counter",
+    );
+    for (kind, n) in &m.telemetry.reconstruct_solves {
+        b.sample_u64("hdmm_reconstruct_total", &[("solve", kind.name())], *n);
+    }
+    b.family(
         "hdmm_slow_queries_total",
         "Requests slower than the slow-query threshold (span tree force-flushed).",
         "counter",
@@ -402,6 +411,7 @@ mod tests {
     fn sample_metrics() -> EngineMetrics {
         let telemetry = crate::telemetry::Telemetry::default();
         telemetry.record_select(std::time::Duration::from_millis(2));
+        telemetry.record_reconstruct_solve(hdmm_mechanism::SolveKind::ClosedForm);
         EngineMetrics {
             cache: crate::cache::CacheStats {
                 hits: 3,
@@ -452,6 +462,8 @@ mod tests {
         let page = render_prometheus(&sample_metrics());
         for needle in [
             "# TYPE hdmm_requests_total counter",
+            "hdmm_reconstruct_total{solve=\"closed_form\"} 1",
+            "hdmm_reconstruct_total{solve=\"lsmr\"} 0",
             "# TYPE hdmm_phase_duration_seconds histogram",
             "hdmm_phase_duration_seconds_bucket{phase=\"select\",le=\"+Inf\"} 1",
             "hdmm_phase_duration_seconds_count{phase=\"select\"} 1",

@@ -7,7 +7,7 @@
 //! on tiny domains, multi-second SELECT; Fig. 6 of the paper) and quantiles
 //! only need to be order-of-magnitude faithful to steer serving decisions.
 
-use hdmm_mechanism::{MechanismPhase, PhaseObserver};
+use hdmm_mechanism::{MechanismPhase, PhaseObserver, SolveKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -239,6 +239,7 @@ pub struct Telemetry {
     slow_queries: AtomicU64,
     restarts_run: AtomicU64,
     select_threads: AtomicU64,
+    reconstruct_solves: [AtomicU64; SolveKind::ALL.len()],
 }
 
 impl Telemetry {
@@ -278,6 +279,11 @@ impl Telemetry {
         self.remote_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// One release reconstructed its estimate with `kind`.
+    pub(crate) fn record_reconstruct_solve(&self, kind: SolveKind) {
+        self.reconstruct_solves[kind as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
     pub(crate) fn record_slow_query(&self) {
         self.slow_queries.fetch_add(1, Ordering::Relaxed);
     }
@@ -314,6 +320,11 @@ impl Telemetry {
             slow_queries: self.slow_queries.load(Ordering::Relaxed),
             restarts_run: self.restarts_run.load(Ordering::Relaxed),
             select_threads: self.select_threads.load(Ordering::Relaxed),
+            reconstruct_solves: SolveKind::ALL
+                .iter()
+                .zip(&self.reconstruct_solves)
+                .map(|(&kind, n)| (kind, n.load(Ordering::Relaxed)))
+                .collect(),
         }
     }
 }
@@ -394,6 +405,20 @@ pub struct TelemetrySnapshot {
     /// Resolved lane count of the SELECT restart executor (`threads = 0`
     /// shows the machine's available parallelism it resolved to).
     pub select_threads: u64,
+    /// Successful releases per RECONSTRUCT solve, one entry per
+    /// [`SolveKind`] in [`SolveKind::ALL`] order. A union counted under
+    /// `Lsmr` had no closed form and paid the iterative solve.
+    pub reconstruct_solves: Vec<(SolveKind, u64)>,
+}
+
+impl TelemetrySnapshot {
+    /// Successful releases reconstructed with `kind`.
+    pub fn reconstructs(&self, kind: SolveKind) -> u64 {
+        self.reconstruct_solves
+            .iter()
+            .find(|(k, _)| *k == kind)
+            .map_or(0, |&(_, n)| n)
+    }
 }
 
 fn write_shard_spans(
@@ -437,7 +462,11 @@ impl std::fmt::Display for TelemetrySnapshot {
         )?;
         writeln!(f, "  select:      {}", self.select)?;
         writeln!(f, "  measure:     {}", self.measure)?;
-        writeln!(f, "  reconstruct: {}", self.reconstruct)?;
+        write!(f, "  reconstruct: {}", self.reconstruct)?;
+        for (kind, n) in &self.reconstruct_solves {
+            write!(f, " {}={n}", kind.name())?;
+        }
+        writeln!(f)?;
         write!(f, "  answer:      {}", self.answer)?;
         write_shard_spans(f, "shard measure", &self.shard_measure)?;
         write_shard_spans(f, "shard reconstruct", &self.shard_reconstruct)?;

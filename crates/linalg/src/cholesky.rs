@@ -112,6 +112,51 @@ impl Cholesky {
         xt.transpose()
     }
 
+    /// `L⁻¹B` by forward substitution, one row of the result at a time.
+    pub fn solve_lower_matrix(&self, b: &Matrix) -> Matrix {
+        let (n, cols) = (self.l.rows(), b.cols());
+        assert_eq!(b.rows(), n, "cholesky solve dimension mismatch");
+        let mut x = b.clone();
+        let data = x.as_mut_slice();
+        for i in 0..n {
+            let (done, rest) = data.split_at_mut(i * cols);
+            let xi = &mut rest[..cols];
+            for (xk, &lik) in done.chunks_exact(cols).zip(&self.l.row(i)[..i]) {
+                for (v, &xkj) in xi.iter_mut().zip(xk) {
+                    *v -= lik * xkj;
+                }
+            }
+            let d = self.l[(i, i)];
+            for v in xi {
+                *v /= d;
+            }
+        }
+        x
+    }
+
+    /// `L⁻ᵀB` by back substitution, one row of the result at a time.
+    pub fn solve_upper_matrix(&self, b: &Matrix) -> Matrix {
+        let (n, cols) = (self.l.rows(), b.cols());
+        assert_eq!(b.rows(), n, "cholesky solve dimension mismatch");
+        let mut x = b.clone();
+        let data = x.as_mut_slice();
+        for i in (0..n).rev() {
+            let (head, done) = data.split_at_mut((i + 1) * cols);
+            let xi = &mut head[i * cols..];
+            for (k, xk) in ((i + 1)..n).zip(done.chunks_exact(cols)) {
+                let lki = self.l[(k, i)];
+                for (v, &xkj) in xi.iter_mut().zip(xk) {
+                    *v -= lki * xkj;
+                }
+            }
+            let d = self.l[(i, i)];
+            for v in xi {
+                *v /= d;
+            }
+        }
+        x
+    }
+
     /// The inverse `A⁻¹`.
     pub fn inverse(&self) -> Matrix {
         self.solve_matrix(&Matrix::identity(self.l.rows()))
@@ -186,6 +231,17 @@ mod tests {
         let ch = Cholesky::new(&a).unwrap();
         let direct = ch.inverse().matmul(&b).trace();
         assert!((ch.trace_solve(&b) - direct).abs() < 1e-9);
+    }
+
+    #[test]
+    fn triangular_solves_invert_the_factor() {
+        let a = spd(6);
+        let ch = Cholesky::new(&a).unwrap();
+        let b = Matrix::from_fn(6, 3, |r, c| (r as f64 - 2.0 * c as f64) / 3.0);
+        let lower = ch.solve_lower_matrix(&b);
+        assert!(ch.factor().matmul(&lower).approx_eq(&b, 1e-10));
+        let upper = ch.solve_upper_matrix(&b);
+        assert!(ch.factor().transpose().matmul(&upper).approx_eq(&b, 1e-10));
     }
 
     #[test]

@@ -59,6 +59,34 @@ impl std::fmt::Display for MechanismError {
 
 impl std::error::Error for MechanismError {}
 
+/// The typed checks in front of every checked pipeline, in the order
+/// callers see them: `eps` positive and finite, `eps` within `remaining`
+/// (a request for exactly the remaining budget passes despite float dust),
+/// and a data vector of `got_cells` matching the domain's `expected_cells`.
+pub fn validate_request(
+    eps: f64,
+    remaining: f64,
+    expected_cells: usize,
+    got_cells: usize,
+) -> Result<(), MechanismError> {
+    if !(eps.is_finite() && eps > 0.0) {
+        return Err(MechanismError::InvalidEpsilon { eps });
+    }
+    if eps > remaining * (1.0 + 1e-12) {
+        return Err(MechanismError::BudgetExhausted {
+            requested: eps,
+            remaining,
+        });
+    }
+    if got_cells != expected_cells {
+        return Err(MechanismError::DataVectorMismatch {
+            expected: expected_cells,
+            got: got_cells,
+        });
+    }
+    Ok(())
+}
+
 /// MEASURE with typed validation: checks `eps` is positive and finite, fits
 /// within `remaining` budget, and `x` matches `expected_cells`, then runs the
 /// vector-form Laplace mechanism. Consumes exactly `eps` of budget on success
@@ -71,22 +99,7 @@ pub fn try_measure(
     expected_cells: usize,
     rng: &mut impl Rng,
 ) -> Result<crate::Measurements, MechanismError> {
-    if !(eps.is_finite() && eps > 0.0) {
-        return Err(MechanismError::InvalidEpsilon { eps });
-    }
-    // Tolerate float dust: a request for exactly the remaining budget passes.
-    if eps > remaining * (1.0 + 1e-12) {
-        return Err(MechanismError::BudgetExhausted {
-            requested: eps,
-            remaining,
-        });
-    }
-    if x.len() != expected_cells {
-        return Err(MechanismError::DataVectorMismatch {
-            expected: expected_cells,
-            got: x.len(),
-        });
-    }
+    validate_request(eps, remaining, expected_cells, x.len())?;
     Ok(measure(strategy, x, eps, rng))
 }
 

@@ -23,13 +23,14 @@ mod mechanism;
 pub mod phases;
 pub mod sharded;
 mod strategy;
+mod union;
 
-pub use budget::{try_measure, try_run_mechanism, MechanismError};
+pub use budget::{try_measure, try_run_mechanism, validate_request, MechanismError};
 pub use marginals::{MarginalsAlgebra, MarginalsStrategy};
 pub use mechanism::MeasuredBlock;
 pub use mechanism::{
     answer_many_from_parts, answer_many_from_parts_on, answer_workload, measure, reconstruct,
-    reconstruct_with, run_mechanism, Measurements, MechanismResult, PreparedReconstruct,
+    reconstruct_with, run_mechanism, Measurements, MechanismResult, PreparedReconstruct, SolveKind,
 };
 pub use phases::{
     try_run_mechanism_observed, try_run_mechanism_prepared_observed, MechanismPhase, NoopObserver,
@@ -37,9 +38,10 @@ pub use phases::{
 };
 pub use sharded::{
     answer_sharded, explicit_forward_sharded, kron_forward_from_parts, kron_forward_sharded,
-    kron_transpose_from_parts, kron_transpose_sharded, measure_sharded, measure_with,
-    reconstruct_sharded, reconstruct_sharded_with, try_run_mechanism_sharded_observed,
+    kron_transpose_sharded, measure_sharded, measure_with, reconstruct_sharded,
+    reconstruct_sharded_with, try_run_mechanism_sharded_observed,
     try_run_mechanism_sharded_prepared_observed, DataSlab, ScopedExecutor, SerialExecutor,
     ShardExecutor, ShardedView,
 };
 pub use strategy::{Strategy, UnionGroup};
+pub use union::UnionSolve;

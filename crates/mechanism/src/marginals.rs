@@ -13,7 +13,7 @@
 //!   to one sparse triangular solve with `3^d` nonzeros;
 //! * `‖M(θ)‖₁ = Σθ_a` (each marginal has unit column norms).
 
-use hdmm_linalg::{kmatvec_structured, kmatvec_transpose_structured, Matrix, StructuredMatrix};
+use hdmm_linalg::{Matrix, StructuredMatrix};
 use hdmm_workload::{Domain, WorkloadGrams};
 
 /// Subset algebra over the `2^d` marginals of a domain.
@@ -136,24 +136,135 @@ impl MarginalsAlgebra {
         x.solve_upper(&z)
     }
 
-    /// Applies `G(v)` to a data vector via `G(v)x = Σ_a v_a Q_aᵀ(Q_a x)`,
-    /// O(2^d · d · N) and never materializing `N×N` matrices.
+    /// Applies `G(v)` to a data vector: `G(v)x = Σ_a v_a·Q_aᵀ(Q_a x)`,
+    /// never materializing `N×N` matrices.
+    ///
+    /// The marginals `Q_a x` are computed down the subset tree (see
+    /// [`MarginalsAlgebra::back_project`]): each subset is its parent's
+    /// marginal with one attribute summed out, so it costs the size of the
+    /// parent marginal instead of a pass over the whole domain. The
+    /// back-projection walks the same tree upwards.
     pub fn g_apply(&self, v: &[f64], x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.domain.size(), "data vector size mismatch");
-        let mut out = vec![0.0; x.len()];
-        for (a, &va) in v.iter().enumerate() {
-            if va == 0.0 {
-                continue;
+        assert_eq!(
+            v.len(),
+            self.subsets(),
+            "weight vector must have 2^d entries"
+        );
+        let full = self.subsets() - 1;
+        let order = self.subset_tree((0..full).filter(|&a| v[a] != 0.0));
+        let mut acc: Vec<Vec<f64>> = vec![Vec::new(); self.subsets()];
+        for &a in &order {
+            let (p, _, n, inner) = self.parent_edge(a);
+            let src = if p == full { x } else { &acc[p] };
+            let mut marg = vec![0.0; src.len() / n];
+            for (dst, block) in marg
+                .chunks_exact_mut(inner)
+                .zip(src.chunks_exact(n * inner))
+            {
+                for row in block.chunks_exact(inner) {
+                    for (m, r) in dst.iter_mut().zip(row) {
+                        *m += r;
+                    }
+                }
             }
-            let q = self.marginal_factors(a);
-            let refs: Vec<&StructuredMatrix> = q.iter().collect();
-            let ax = kmatvec_structured(&refs, x);
-            let back = kmatvec_transpose_structured(&refs, &ax);
-            for (o, b) in out.iter_mut().zip(&back) {
-                *o += va * b;
+            acc[a] = marg;
+        }
+        // Every child is computed, so the marginals can become `v_a·Q_a x`.
+        for &a in &order {
+            acc[a].iter_mut().for_each(|m| *m *= v[a]);
+        }
+        let mut out: Vec<f64> = x.iter().map(|xi| v[full] * xi).collect();
+        self.broadcast_up(&order, &mut acc, &mut out);
+        out
+    }
+
+    /// `Σ_a w_a·Q_aᵀy_a` over `(a, w_a, y_a)` terms (at most one per
+    /// subset), where `y_a` is a vector over the cells of marginal `a`: the
+    /// `Mᵀy` of RECONSTRUCT.
+    ///
+    /// Every subset `a` but the full table has a parent `a ∪ {j}`, with `j`
+    /// the smallest attribute `a` lacks (ties to the lower index). The terms
+    /// are broadcast along these edges from the smallest marginals upwards,
+    /// each child added into its parent, so a subset costs the size of its
+    /// parent marginal. The order of every sum is fixed by the domain and
+    /// the set of subsets, so the result is deterministic.
+    pub fn back_project(&self, terms: &[(usize, f64, &[f64])]) -> Vec<f64> {
+        let full = self.subsets() - 1;
+        let order = self.subset_tree(terms.iter().map(|t| t.0).filter(|&a| a != full));
+        let mut acc: Vec<Vec<f64>> = vec![Vec::new(); self.subsets()];
+        for &a in &order {
+            acc[a] = vec![0.0; self.domain.size() / self.cbar[a] as usize];
+        }
+        let mut out = vec![0.0; self.domain.size()];
+        for &(a, w, y) in terms {
+            let dst = if a == full { &mut out } else { &mut acc[a] };
+            assert_eq!(y.len(), dst.len(), "marginal {a} has the wrong length");
+            for (o, yi) in dst.iter_mut().zip(y) {
+                *o += w * yi;
             }
         }
+        self.broadcast_up(&order, &mut acc, &mut out);
         out
+    }
+
+    /// The edge from subset `a` (not the full table) to its parent
+    /// `p = a ∪ {j}`: `(p, outer, n_j, inner)`, where the parent's marginal
+    /// is laid out as `outer × n_j × inner`.
+    fn parent_edge(&self, a: usize) -> (usize, usize, usize, usize) {
+        let d = self.domain.dims();
+        let j = (0..d)
+            .filter(|&i| a >> i & 1 == 0)
+            .min_by_key(|&i| (self.domain.attr_size(i), i))
+            .expect("the full table has no parent");
+        let p = a | 1 << j;
+        let size = |attrs: std::ops::Range<usize>| -> usize {
+            attrs
+                .filter(|&i| p >> i & 1 == 1)
+                .map(|i| self.domain.attr_size(i))
+                .product()
+        };
+        (p, size(0..j), self.domain.attr_size(j), size(j + 1..d))
+    }
+
+    /// The subsets on the parent paths from `support` to the full table,
+    /// full table excluded, parents before children (decreasing size of the
+    /// subset, then increasing bitmask).
+    fn subset_tree(&self, support: impl Iterator<Item = usize>) -> Vec<usize> {
+        let full = self.subsets() - 1;
+        let mut needed = vec![false; self.subsets()];
+        needed[full] = true;
+        for mut a in support {
+            while !needed[a] {
+                needed[a] = true;
+                a = self.parent_edge(a).0;
+            }
+        }
+        let mut order: Vec<usize> = (0..full).filter(|&a| needed[a]).collect();
+        order.sort_by_key(|&a| (std::cmp::Reverse(a.count_ones()), a));
+        order
+    }
+
+    /// Adds every `acc[a]`, `a` in `order` (a [`Self::subset_tree`]),
+    /// broadcast along its parent edge into the parent, children first; the
+    /// full table's accumulator is `out`. Consumes the buffers in `acc`.
+    fn broadcast_up(&self, order: &[usize], acc: &mut [Vec<f64>], out: &mut [f64]) {
+        let full = self.subsets() - 1;
+        for &a in order.iter().rev() {
+            let (p, _, n, inner) = self.parent_edge(a);
+            let child = std::mem::take(&mut acc[a]);
+            let dst = if p == full { &mut *out } else { &mut acc[p] };
+            for (block, src) in dst
+                .chunks_exact_mut(n * inner)
+                .zip(child.chunks_exact(inner))
+            {
+                for row in block.chunks_exact_mut(inner) {
+                    for (o, c) in row.iter_mut().zip(src) {
+                        *o += c;
+                    }
+                }
+            }
+        }
     }
 
     /// The factors of the marginal query matrix `Q_a` (Identity on set bits,
@@ -405,6 +516,58 @@ mod tests {
         let implicit = alg.g_apply(&v, &x);
         for (l, r) in direct.iter().zip(&implicit) {
             assert!((l - r).abs() < 1e-9);
+        }
+        // Each single subset, and sparse supports whose subset tree passes
+        // through subsets with v_a = 0, on a domain with tied sizes.
+        let alg = MarginalsAlgebra::new(&Domain::new(&[3, 2, 4, 2]));
+        let x: Vec<f64> = (0..48).map(|i| ((i * 7 % 11) as f64) - 4.5).collect();
+        let mut supports: Vec<Vec<usize>> = (0..16).map(|a| vec![a]).collect();
+        supports.extend([vec![0, 15], vec![1, 6, 8], vec![0, 3, 5, 10, 12]]);
+        for support in supports {
+            let mut v = vec![0.0; 16];
+            for &a in &support {
+                v[a] = 0.25 + a as f64 * 0.1;
+            }
+            let direct = alg.g_explicit(&v).matvec(&x);
+            let implicit = alg.g_apply(&v, &x);
+            for (l, r) in direct.iter().zip(&implicit) {
+                assert!((l - r).abs() < 1e-9, "support {support:?}: {l} vs {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn back_project_matches_explicit_transpose() {
+        let domain = Domain::new(&[3, 2, 4]);
+        let alg = MarginalsAlgebra::new(&domain);
+        let ys: Vec<(usize, f64, Vec<f64>)> =
+            [(0b000, 0.5), (0b101, 1.5), (0b010, 0.75), (0b111, 2.0)]
+                .iter()
+                .map(|&(a, w)| {
+                    let len: usize = (0..3)
+                        .filter(|&i| a >> i & 1 == 1)
+                        .map(|i| domain.attr_size(i))
+                        .product();
+                    (a, w, (0..len).map(|i| (i as f64 * 0.37).cos()).collect())
+                })
+                .collect();
+        let terms: Vec<(usize, f64, &[f64])> =
+            ys.iter().map(|(a, w, y)| (*a, *w, &y[..])).collect();
+        let mut direct = vec![0.0; domain.size()];
+        for (a, w, y) in &ys {
+            let q: Vec<Matrix> = alg
+                .marginal_factors(*a)
+                .iter()
+                .map(StructuredMatrix::to_dense)
+                .collect();
+            let refs: Vec<&Matrix> = q.iter().collect();
+            let back = hdmm_linalg::kron_all(&refs).t_matvec(y);
+            for (d, b) in direct.iter_mut().zip(&back) {
+                *d += w * b;
+            }
+        }
+        for (l, r) in direct.iter().zip(&alg.back_project(&terms)) {
+            assert!((l - r).abs() < 1e-12, "{l} vs {r}");
         }
     }
 

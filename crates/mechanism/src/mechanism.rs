@@ -3,6 +3,7 @@
 
 use crate::error::gram_pinv;
 use crate::laplace::add_laplace_noise;
+use crate::union::UnionSolve;
 use crate::{MarginalsAlgebra, Strategy};
 use hdmm_linalg::{
     kmatvec_structured, kmatvec_transpose_structured, lsmr, KronScratch, LinOp, LsmrOptions,
@@ -124,7 +125,11 @@ pub fn measure(strategy: &Strategy, x: &[f64], eps: f64, rng: &mut impl Rng) -> 
 /// * Kronecker: the per-factor inverse Grams `(AᵢᵀAᵢ)⁺`;
 /// * marginals: the subset-sum algebra tables and the §7.2 weight vector `v`
 ///   with `(MᵀM)⁺ = G(v)`;
-/// * union: nothing — LSMR has no reusable strategy-only factorization.
+/// * union: for two groups, the per-axis simultaneous diagonalization of the
+///   two groups' Grams that makes the whitened normal equations a diagonal
+///   solve between two Kronecker passes ([`UnionSolve`]); for any other
+///   union, or when both groups have a singular Gram, nothing — those keep
+///   the iterative LSMR solve.
 #[derive(Debug, Clone)]
 pub enum PreparedReconstruct {
     /// `(AᵀA)⁺` for an explicit strategy.
@@ -144,8 +149,49 @@ pub enum PreparedReconstruct {
         /// Weights `v` with `(MᵀM)⁺ = G(v)`.
         v: Vec<f64>,
     },
-    /// Union strategies reconstruct iteratively; nothing to precompute.
-    Union,
+    /// A union strategy.
+    Union {
+        /// The two-group closed form; `None` reconstructs by LSMR.
+        closed_form: Option<Box<UnionSolve>>,
+    },
+}
+
+/// How RECONSTRUCT solves for `x̄` under a [`PreparedReconstruct`] — the
+/// label of the `hdmm_reconstruct_total` counter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SolveKind {
+    /// Two-group union through the simultaneous-diagonalization closed form.
+    ClosedForm,
+    /// Kronecker per-factor inverse Grams.
+    Kron,
+    /// Marginals subset algebra.
+    Marginals,
+    /// Explicit inverse Gram.
+    Explicit,
+    /// Iterative LSMR (unions without a closed form).
+    Lsmr,
+}
+
+impl SolveKind {
+    /// Every kind, in label order.
+    pub const ALL: [SolveKind; 5] = [
+        SolveKind::ClosedForm,
+        SolveKind::Kron,
+        SolveKind::Marginals,
+        SolveKind::Explicit,
+        SolveKind::Lsmr,
+    ];
+
+    /// Stable lowercase name (telemetry label).
+    pub fn name(self) -> &'static str {
+        match self {
+            SolveKind::ClosedForm => "closed_form",
+            SolveKind::Kron => "kron",
+            SolveKind::Marginals => "marginals",
+            SolveKind::Explicit => "explicit",
+            SolveKind::Lsmr => "lsmr",
+        }
+    }
 }
 
 impl PreparedReconstruct {
@@ -163,7 +209,22 @@ impl PreparedReconstruct {
                 let v = algebra.g_inverse_weights(&m.gram_weights());
                 PreparedReconstruct::Marginals { algebra, v }
             }
-            Strategy::Union(_) => PreparedReconstruct::Union,
+            Strategy::Union(groups) => PreparedReconstruct::Union {
+                closed_form: UnionSolve::new(groups).map(Box::new),
+            },
+        }
+    }
+
+    /// How [`reconstruct_with`] solves under this factorization.
+    pub fn solve_kind(&self) -> SolveKind {
+        match self {
+            PreparedReconstruct::Explicit { .. } => SolveKind::Explicit,
+            PreparedReconstruct::Kron { .. } => SolveKind::Kron,
+            PreparedReconstruct::Marginals { .. } => SolveKind::Marginals,
+            PreparedReconstruct::Union {
+                closed_form: Some(_),
+            } => SolveKind::ClosedForm,
+            PreparedReconstruct::Union { closed_form: None } => SolveKind::Lsmr,
         }
     }
 }
@@ -177,8 +238,10 @@ impl PreparedReconstruct {
 ///   Gram (closed-form for Identity/Prefix), never the `nᵢ × mᵢ`
 ///   pseudo-inverse;
 /// * marginals: `M⁺y = G(v)·Mᵀy` through the subset algebra (§7.2);
-/// * union: no closed-form pseudo-inverse — noise-whitened LSMR over the
-///   stacked implicit operator (§7.2, reference \[14\]).
+/// * union: no closed-form pseudo-inverse in general — noise-whitened LSMR
+///   over the stacked implicit operator (§7.2, reference \[14\]); two-group
+///   unions whose Grams admit a simultaneous diagonalization solve the same
+///   least-squares problem exactly in closed form ([`UnionSolve`]).
 ///
 /// Builds the strategy factorization fresh each call; serving paths that
 /// answer many requests against one strategy should build a
@@ -213,27 +276,27 @@ pub fn reconstruct_with(
         }
         (Strategy::Marginals(m), PreparedReconstruct::Marginals { algebra, v }) => {
             // Mᵀy = Σ_a θ_a·Q_aᵀ·y_a over the measured marginals.
-            let n = m.domain.size();
-            let mut mty = vec![0.0; n];
-            let mut block_iter = meas.blocks.iter();
-            for (a, &theta) in m.theta.iter().enumerate() {
-                if theta == 0.0 {
-                    continue;
-                }
-                let block = block_iter
-                    .next()
-                    .expect("one block per positive-weight marginal");
-                let q = algebra.marginal_factors(a);
-                let refs: Vec<&StructuredMatrix> = q.iter().collect();
-                let back = kmatvec_transpose_structured(&refs, &block.noisy);
-                for (acc, b) in mty.iter_mut().zip(&back) {
-                    *acc += theta * b;
-                }
-            }
+            let mut blocks = meas.blocks.iter();
+            let terms: Vec<(usize, f64, &[f64])> = (m.theta.iter().enumerate())
+                .filter(|&(_, &theta)| theta != 0.0)
+                .map(|(a, &theta)| {
+                    let block = blocks
+                        .next()
+                        .expect("one block per positive-weight marginal");
+                    (a, theta, &block.noisy[..])
+                })
+                .collect();
+            let mty = algebra.back_project(&terms);
             // x̄ = (MᵀM)⁺·Mᵀy = G(v)·Mᵀy.
             algebra.g_apply(v, &mty)
         }
-        (Strategy::Union(groups), PreparedReconstruct::Union) => {
+        (
+            Strategy::Union(groups),
+            PreparedReconstruct::Union {
+                closed_form: Some(solve),
+            },
+        ) => solve.solve(groups, meas),
+        (Strategy::Union(groups), PreparedReconstruct::Union { closed_form: None }) => {
             // Whiten each block by its noise scale and solve jointly over the
             // stacked structured Kronecker operators.
             let mut ops: Vec<Box<dyn LinOp>> = Vec::with_capacity(groups.len());
@@ -388,6 +451,34 @@ mod tests {
         let got = answer_workload(&w, &x_hat);
         for (a, t) in got.iter().zip(&truth) {
             assert!((a - t).abs() < 1e-2, "{a} vs {t}");
+        }
+    }
+
+    #[test]
+    fn unions_without_a_closed_form_keep_lsmr_and_recover_at_high_eps() {
+        let w = builders::range_total_union_2d(4, 4);
+        let x = data(16);
+        let prefix = || blocks::prefix(4).scaled(0.25);
+        // A Total factor in each group: both groups' Grams are singular.
+        let singular = Strategy::Union(vec![
+            UnionGroup::new(0.5, vec![prefix(), blocks::total(4)], vec![0]),
+            UnionGroup::new(0.5, vec![blocks::total(4), prefix()], vec![1]),
+        ]);
+        // Three groups: the closed form covers exactly two.
+        let three = Strategy::Union(vec![
+            UnionGroup::new(0.4, vec![prefix(), prefix()], vec![0]),
+            UnionGroup::new(0.3, vec![prefix(), blocks::total(4)], vec![0]),
+            UnionGroup::new(0.3, vec![blocks::total(4), prefix()], vec![1]),
+        ]);
+        let truth = w.answer(&x);
+        for strat in [singular, three] {
+            let prepared = PreparedReconstruct::new(&strat);
+            assert_eq!(prepared.solve_kind(), SolveKind::Lsmr);
+            let meas = measure(&strat, &x, 1e7, &mut StdRng::seed_from_u64(2));
+            let got = answer_workload(&w, &reconstruct_with(&prepared, &strat, &meas));
+            for (a, t) in got.iter().zip(&truth) {
+                assert!((a - t).abs() < 1e-2, "{a} vs {t}");
+            }
         }
     }
 

@@ -9,7 +9,7 @@
 //! histograms without this crate depending on any telemetry machinery.
 
 use crate::budget::{try_measure, MechanismError};
-use crate::{reconstruct, reconstruct_with, MechanismResult, PreparedReconstruct, Strategy};
+use crate::{reconstruct_with, MechanismResult, PreparedReconstruct, Strategy};
 use hdmm_workload::Workload;
 use rand::Rng;
 use std::time::{Duration, Instant};
@@ -84,19 +84,16 @@ pub fn try_run_mechanism_observed(
     rng: &mut impl Rng,
     observer: &impl PhaseObserver,
 ) -> Result<MechanismResult, MechanismError> {
-    let t = Instant::now();
-    let meas = try_measure(strategy, x, eps, remaining, workload.domain().size(), rng)?;
-    observer.phase_complete(MechanismPhase::Measure, t.elapsed());
-
-    let t = Instant::now();
-    let x_hat = reconstruct(strategy, &meas);
-    observer.phase_complete(MechanismPhase::Reconstruct, t.elapsed());
-
-    let t = Instant::now();
-    let answers = workload.answer(&x_hat);
-    observer.phase_complete(MechanismPhase::Answer, t.elapsed());
-
-    Ok(MechanismResult { x_hat, answers })
+    try_run_mechanism_prepared_observed(
+        workload,
+        strategy,
+        &PreparedReconstruct::new(strategy),
+        x,
+        eps,
+        remaining,
+        rng,
+        observer,
+    )
 }
 
 /// [`try_run_mechanism_observed`] with the strategy factorization supplied by

@@ -15,9 +15,14 @@
 //!   is identical to the unsharded mechanism's.
 //! * **RECONSTRUCT** — `Aᵀy` fans out over measurement-axis slabs (trailing
 //!   transposes) then domain-axis blocks (leading transpose), and the inverse
-//!   Grams scatter `x̂` back per domain slab. Union strategies keep the
-//!   global LSMR solve, and the marginals `G(v)` application stays serial;
-//!   both are documented single-task stages.
+//!   Grams scatter `x̂` back per domain slab. Union strategies keep their
+//!   global solve — the two-group closed form of [`crate::UnionSolve`] when
+//!   it applies, LSMR otherwise — and marginals run the whole `G(v)·Mᵀy`
+//!   down and up the subset tree of [`crate::MarginalsAlgebra`] (a few
+//!   passes over the domain in all); both are documented single-task
+//!   stages. RECONSTRUCT is post-processing of measurements the coordinator
+//!   already holds, so the remote executor runs this same stage locally
+//!   instead of shipping it to workers.
 //! * **ANSWER** — each workload term runs the same forward fan-out over `x̂`.
 //!
 //! ## Exactness contract
@@ -33,7 +38,7 @@
 //!
 //! [`Workload::answer`]: hdmm_workload::Workload::answer
 
-use crate::budget::MechanismError;
+use crate::budget::{validate_request, MechanismError};
 use crate::laplace::add_laplace_noise;
 use crate::phases::{MechanismPhase, PhaseObserver};
 use crate::{
@@ -389,25 +394,6 @@ pub fn kron_transpose_sharded(
         exec.run(tasks);
     }
 
-    kron_transpose_from_parts(factors, parts, domain_ranges, exec, observer, phase)
-}
-
-/// The merge + leading-transpose half of the transposed fan-out, shared by
-/// the in-process and remote executors (see [`kron_forward_from_parts`]).
-/// `parts[i]` must be the trailing-transpose product over the `i`-th
-/// measurement-axis block of `y` (blocks from `partition_rows(m_lead,
-/// domain_ranges.len())`), in block order.
-pub fn kron_transpose_from_parts(
-    factors: &[&StructuredMatrix],
-    parts: Vec<Vec<f64>>,
-    domain_ranges: &[Range<usize>],
-    exec: &dyn ShardExecutor,
-    observer: &(impl PhaseObserver + ?Sized),
-    phase: MechanismPhase,
-) -> Vec<f64> {
-    let split = leading_split(factors);
-    let m_lead = split.leading.rows();
-
     let right = split.trailing_cols();
     let mut merged = Vec::with_capacity(m_lead * right);
     for p in parts {
@@ -589,9 +575,8 @@ pub fn measure_sharded(
 
 /// Sharded RECONSTRUCT: scatters `x̂` back per domain slab. Bitwise identical
 /// to [`reconstruct`](crate::reconstruct). Kronecker strategies fan both
-/// passes out; unions keep the global LSMR solve and marginals keep the
-/// subset-algebra `G(v)` application as single-task stages (the `Mᵀy`
-/// accumulation still fans out per marginal).
+/// passes out; unions keep their global solve (closed form or LSMR) and
+/// marginals their subset-tree `G(v)·Mᵀy`, each as one serial stage.
 pub fn reconstruct_sharded(
     strategy: &Strategy,
     meas: &Measurements,
@@ -627,9 +612,11 @@ pub fn reconstruct_sharded_with(
 ) -> Vec<f64> {
     let phase = MechanismPhase::Reconstruct;
     match strategy {
-        // Explicit strategies live on small 1-D domains; unions need the
-        // global iterative LSMR solve. Both keep the plain serial path.
-        Strategy::Explicit(_) | Strategy::Union(_) => {
+        // Explicit strategies live on small 1-D domains; unions solve
+        // globally (closed form or LSMR); marginals run the subset tree,
+        // whose sums cost a few passes over the domain in all. All three
+        // keep the plain serial path.
+        Strategy::Explicit(_) | Strategy::Union(_) | Strategy::Marginals(_) => {
             crate::reconstruct_with(prepared, strategy, meas)
         }
         Strategy::Kron(factors) => {
@@ -649,46 +636,6 @@ pub fn reconstruct_sharded_with(
             let aty_view =
                 ShardedView::new(lead_n, ranges_to_slabs(&ranges, &aty, lead_n, aty.len()));
             kron_forward_sharded(&pinv_refs, &aty_view, exec, observer, phase)
-        }
-        Strategy::Marginals(m) => {
-            let PreparedReconstruct::Marginals { algebra, v } = prepared else {
-                panic!("PreparedReconstruct was built from a different strategy variant");
-            };
-            // Marginal factors put their attribute-0 block (cols = n₁) first,
-            // so the fan-out needs the view's slab ranges to live on that
-            // axis; fall back to the plain path otherwise.
-            if view.leading != m.domain.attr_size(0) {
-                return crate::reconstruct_with(prepared, strategy, meas);
-            }
-            let n = m.domain.size();
-            let domain_ranges: Vec<Range<usize>> =
-                view.slabs.iter().map(|s| s.rows.clone()).collect();
-            let mut mty = vec![0.0; n];
-            let mut block_iter = meas.blocks.iter();
-            for (a, &theta) in m.theta.iter().enumerate() {
-                if theta == 0.0 {
-                    continue;
-                }
-                let block = block_iter
-                    .next()
-                    .expect("one block per positive-weight marginal");
-                let q = algebra.marginal_factors(a);
-                let refs: Vec<&StructuredMatrix> = q.iter().collect();
-                // The marginal factor on attribute 0 has cols == leading, so
-                // the view's slab ranges are already in leading-leaf space.
-                let back = kron_transpose_sharded(
-                    &refs,
-                    &block.noisy,
-                    &domain_ranges,
-                    exec,
-                    observer,
-                    phase,
-                );
-                for (acc, b) in mty.iter_mut().zip(&back) {
-                    *acc += theta * b;
-                }
-            }
-            algebra.g_apply(v, &mty)
         }
     }
 }
@@ -765,36 +712,17 @@ pub fn try_run_mechanism_sharded_observed(
     exec: &dyn ShardExecutor,
     observer: &(impl PhaseObserver + ?Sized),
 ) -> Result<MechanismResult, MechanismError> {
-    if !(eps.is_finite() && eps > 0.0) {
-        return Err(MechanismError::InvalidEpsilon { eps });
-    }
-    if eps > remaining * (1.0 + 1e-12) {
-        return Err(MechanismError::BudgetExhausted {
-            requested: eps,
-            remaining,
-        });
-    }
-    let expected = workload.domain().size();
-    if view.total_len() != expected {
-        return Err(MechanismError::DataVectorMismatch {
-            expected,
-            got: view.total_len(),
-        });
-    }
-
-    let t = Instant::now();
-    let meas = measure_sharded(strategy, view, eps, rng, exec, observer);
-    observer.phase_complete(MechanismPhase::Measure, t.elapsed());
-
-    let t = Instant::now();
-    let x_hat = reconstruct_sharded(strategy, &meas, view, exec, observer);
-    observer.phase_complete(MechanismPhase::Reconstruct, t.elapsed());
-
-    let t = Instant::now();
-    let answers = answer_sharded(workload, &x_hat, view.shard_count(), exec, observer);
-    observer.phase_complete(MechanismPhase::Answer, t.elapsed());
-
-    Ok(MechanismResult { x_hat, answers })
+    try_run_mechanism_sharded_prepared_observed(
+        workload,
+        strategy,
+        &PreparedReconstruct::new(strategy),
+        view,
+        eps,
+        remaining,
+        rng,
+        exec,
+        observer,
+    )
 }
 
 /// [`try_run_mechanism_sharded_observed`] with the strategy factorization
@@ -814,22 +742,7 @@ pub fn try_run_mechanism_sharded_prepared_observed(
     exec: &dyn ShardExecutor,
     observer: &(impl PhaseObserver + ?Sized),
 ) -> Result<MechanismResult, MechanismError> {
-    if !(eps.is_finite() && eps > 0.0) {
-        return Err(MechanismError::InvalidEpsilon { eps });
-    }
-    if eps > remaining * (1.0 + 1e-12) {
-        return Err(MechanismError::BudgetExhausted {
-            requested: eps,
-            remaining,
-        });
-    }
-    let expected = workload.domain().size();
-    if view.total_len() != expected {
-        return Err(MechanismError::DataVectorMismatch {
-            expected,
-            got: view.total_len(),
-        });
-    }
+    validate_request(eps, remaining, workload.domain().size(), view.total_len())?;
 
     let t = Instant::now();
     let meas = measure_sharded(strategy, view, eps, rng, exec, observer);

@@ -493,7 +493,7 @@ impl WorkerPool {
         self.apply_traced(transpose, factors, payload, hint, &NoopSpanSink, "")
     }
 
-    /// Runs one stateless task (RECONSTRUCT passes): trailing factors against
+    /// Runs one stateless task ([`Frame::Apply`]): trailing factors against
     /// a payload shipped with the request. `hint` spreads blocks across live
     /// workers; failures retry on the next live worker with the same policy.
     /// Traced attempts are recorded as `rpc:apply` spans (see

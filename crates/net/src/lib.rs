@@ -12,9 +12,9 @@
 //! * [`client`] — the coordinator's [`WorkerPool`]: task routing with
 //!   per-task timeouts, bounded retry with backoff, shard reassignment to
 //!   surviving workers, and per-worker health counters;
-//! * [`remote`] — [`RemoteExecutor`] and the full remote
-//!   MEASURE / RECONSTRUCT / ANSWER pipeline, bitwise identical to the dense
-//!   single-node pipeline for every worker count.
+//! * [`remote`] — [`RemoteExecutor`] and the full remote pipeline: MEASURE
+//!   over the workers, RECONSTRUCT / ANSWER on the coordinator, bitwise
+//!   identical to the dense single-node pipeline for every worker count.
 //!
 //! The design keeps workers stateless in the failure sense: the coordinator
 //! holds the authoritative data, slabs are pushed (and re-pushed) on demand,

@@ -1,16 +1,21 @@
-//! `RemoteExecutor`: the distributed MEASURE / RECONSTRUCT pipeline that
-//! fans shard tasks out to TCP workers.
+//! `RemoteExecutor`: the distributed MEASURE pipeline that fans shard tasks
+//! out to TCP workers.
 //!
-//! The split of work mirrors the in-process sharded pipeline exactly: the
-//! per-slab trailing-factor products (the bulk of the flops) become
-//! [`SlabForward`](crate::Frame::SlabForward) / [`Apply`](crate::Frame::Apply)
-//! RPCs, while the ordered merge and the leading contraction run on the
-//! coordinator through the *same*
-//! [`kron_forward_from_parts`] / [`kron_transpose_from_parts`] code the
-//! local path uses. Workers run the same `kmatvec_*_trailing_slab` kernels
-//! on the same slices, so the answers are **bitwise identical** to the dense
-//! single-node pipeline for any worker count — the exactness contract of
-//! [`hdmm_mechanism::sharded`] extends across the wire unchanged.
+//! Only MEASURE crosses the wire, because only MEASURE needs the data slabs
+//! the workers hold. The per-slab trailing-factor products (the bulk of its
+//! flops) become [`SlabForward`](crate::Frame::SlabForward) RPCs, while the
+//! ordered merge and the leading contraction run on the coordinator through
+//! the *same* [`kron_forward_from_parts`] code the local path uses. Workers
+//! run the same `kmatvec_trailing_slab` kernel on the same slices.
+//!
+//! RECONSTRUCT and ANSWER are post-processing of measurements the
+//! coordinator already holds, so they run on the coordinator's local
+//! executor through the in-process sharded stages, with the caller's cached
+//! [`PreparedReconstruct`]. Shipping them to workers would cost one
+//! domain-sized round-trip per marginal per shard for kernels that do O(1)
+//! work per cell. The answers are therefore **bitwise identical** to the
+//! dense single-node pipeline for any worker count — the exactness contract
+//! of [`hdmm_mechanism::sharded`] extends across the wire unchanged.
 //!
 //! Failure handling lives in [`WorkerPool`]: per-task timeouts, bounded
 //! retry with doubling backoff, and shard reassignment to surviving workers
@@ -22,16 +27,15 @@
 
 use crate::client::{PoolHealth, RetryPolicy, WorkerPool};
 use crate::wire::NetError;
-use hdmm_linalg::{leading_split, partition_rows, StructuredMatrix};
+use hdmm_linalg::{leading_split, StructuredMatrix};
 use hdmm_mechanism::{
-    answer_sharded, explicit_forward_sharded, kron_forward_from_parts, kron_transpose_from_parts,
-    measure_with, MarginalsAlgebra, Measurements, MechanismError, MechanismPhase, MechanismResult,
-    PhaseObserver, ScopedExecutor, ShardExecutor, ShardedView, Strategy,
+    answer_sharded, explicit_forward_sharded, kron_forward_from_parts, measure_with,
+    reconstruct_sharded_with, validate_request, MechanismError, MechanismPhase, MechanismResult,
+    PhaseObserver, PreparedReconstruct, ScopedExecutor, ShardExecutor, ShardedView, Strategy,
 };
 use hdmm_obs::{NoopSpanSink, SpanSink};
 use hdmm_workload::Workload;
 use rand::Rng;
-use std::ops::Range;
 use std::time::Instant;
 
 /// Configuration for a [`RemoteExecutor`].
@@ -195,46 +199,7 @@ fn fan_out_slabs(
     results.into_iter().collect()
 }
 
-/// Fans stateless payload tasks out to the pool, one concurrent RPC per
-/// payload, returning the per-payload products in order.
-fn fan_out_apply(
-    pool: &WorkerPool,
-    transpose: bool,
-    trailing: &[StructuredMatrix],
-    payloads: &[&[f64]],
-    observer: &(impl PhaseObserver + ?Sized),
-    phase: MechanismPhase,
-    sink: &dyn SpanSink,
-) -> Result<Vec<Vec<f64>>, NetError> {
-    let results: Vec<Result<Vec<f64>, NetError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = payloads
-            .iter()
-            .enumerate()
-            .map(|(shard, payload)| {
-                s.spawn(move || {
-                    let t = Instant::now();
-                    let part =
-                        pool.apply_traced(transpose, trailing, payload, shard, sink, phase.name());
-                    if part.is_ok() {
-                        observer.shard_phase_complete(phase, shard, t.elapsed());
-                    }
-                    part
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard task thread"))
-            .collect()
-    });
-    results.into_iter().collect()
-}
-
-fn owned_trailing(split_trailing: &[&StructuredMatrix]) -> Vec<StructuredMatrix> {
-    split_trailing.iter().map(|f| (*f).clone()).collect()
-}
-
-/// The remote forward fan-out over a dataset's slabs: phase 1 runs as
+/// The remote MEASURE fan-out over a dataset's slabs: phase 1 runs as
 /// [`SlabForward`](crate::Frame::SlabForward) RPCs (slabs are cached on
 /// workers), the merge and leading contraction run locally through
 /// [`kron_forward_from_parts`] — bitwise identical to
@@ -246,9 +211,9 @@ fn kron_forward_remote(
     factors: &[&StructuredMatrix],
     view: &ShardedView<'_>,
     observer: &(impl PhaseObserver + ?Sized),
-    phase: MechanismPhase,
     sink: &dyn SpanSink,
 ) -> Result<Vec<f64>, NetError> {
+    let phase = MechanismPhase::Measure;
     let split = leading_split(factors);
     if view
         .ranges_on_axis(split.leading.cols(), split.trailing_cols())
@@ -258,7 +223,7 @@ fn kron_forward_remote(
             "slab boundaries do not align with the leading factor",
         ));
     }
-    let trailing = owned_trailing(&split.trailing);
+    let trailing: Vec<StructuredMatrix> = split.trailing.iter().map(|f| (*f).clone()).collect();
     let parts = fan_out_slabs(exec.pool(), dataset, view, &trailing, observer, phase, sink)?;
     Ok(kron_forward_from_parts(
         factors,
@@ -269,161 +234,13 @@ fn kron_forward_remote(
     ))
 }
 
-/// The remote forward fan-out over a coordinator-held intermediate (the
-/// inverse-Gram pass of RECONSTRUCT): payload slices ship with the request.
-#[allow(clippy::too_many_arguments)]
-fn kron_forward_remote_payload(
-    exec: &RemoteExecutor,
-    factors: &[&StructuredMatrix],
-    x: &[f64],
-    ranges: &[Range<usize>],
-    observer: &(impl PhaseObserver + ?Sized),
-    phase: MechanismPhase,
-    sink: &dyn SpanSink,
-) -> Result<Vec<f64>, NetError> {
-    let split = leading_split(factors);
-    let rest_n = split.trailing_cols();
-    let trailing = owned_trailing(&split.trailing);
-    let payloads: Vec<&[f64]> = ranges
-        .iter()
-        .map(|r| &x[r.start * rest_n..r.end * rest_n])
-        .collect();
-    let parts = fan_out_apply(
-        exec.pool(),
-        false,
-        &trailing,
-        &payloads,
-        observer,
-        phase,
-        sink,
-    )?;
-    Ok(kron_forward_from_parts(
-        factors,
-        parts,
-        exec.local(),
-        observer,
-        phase,
-    ))
-}
-
-/// The remote transposed fan-out: trailing transposes run as
-/// [`Apply`](crate::Frame::Apply) RPCs over measurement-axis blocks, the
-/// merge and leading transpose run locally — bitwise identical to
-/// [`kron_transpose_sharded`](hdmm_mechanism::kron_transpose_sharded).
-#[allow(clippy::too_many_arguments)]
-fn kron_transpose_remote(
-    exec: &RemoteExecutor,
-    factors: &[&StructuredMatrix],
-    y: &[f64],
-    domain_ranges: &[Range<usize>],
-    observer: &(impl PhaseObserver + ?Sized),
-    phase: MechanismPhase,
-    sink: &dyn SpanSink,
-) -> Result<Vec<f64>, NetError> {
-    let split = leading_split(factors);
-    let rest_m = split.trailing_rows();
-    let trailing = owned_trailing(&split.trailing);
-    let y_blocks = partition_rows(split.leading.rows(), domain_ranges.len());
-    let payloads: Vec<&[f64]> = y_blocks
-        .iter()
-        .map(|b| &y[b.start * rest_m..b.end * rest_m])
-        .collect();
-    let parts = fan_out_apply(
-        exec.pool(),
-        true,
-        &trailing,
-        &payloads,
-        observer,
-        phase,
-        sink,
-    )?;
-    Ok(kron_transpose_from_parts(
-        factors,
-        parts,
-        domain_ranges,
-        exec.local(),
-        observer,
-        phase,
-    ))
-}
-
-/// Remote RECONSTRUCT, mirroring
-/// [`reconstruct_sharded`](hdmm_mechanism::reconstruct_sharded) stage for
-/// stage: Kronecker strategies fan both passes out over the wire; explicit
-/// and union strategies keep the local serial path (small domains / global
-/// LSMR solve); marginals fan the per-marginal `Mᵀy` out and keep the
-/// subset-algebra application local.
-fn reconstruct_remote(
-    strategy: &Strategy,
-    meas: &Measurements,
-    view: &ShardedView<'_>,
-    exec: &RemoteExecutor,
-    observer: &(impl PhaseObserver + ?Sized),
-    sink: &dyn SpanSink,
-) -> Result<Vec<f64>, NetError> {
-    let phase = MechanismPhase::Reconstruct;
-    match strategy {
-        Strategy::Explicit(_) | Strategy::Union(_) => {
-            Ok(hdmm_mechanism::reconstruct(strategy, meas))
-        }
-        Strategy::Kron(factors) => {
-            let refs: Vec<&StructuredMatrix> = factors.iter().collect();
-            let split = leading_split(&refs);
-            let Some(ranges) = view.ranges_on_axis(split.leading.cols(), split.trailing_cols())
-            else {
-                return Ok(hdmm_mechanism::reconstruct(strategy, meas));
-            };
-            let y = &meas.blocks[0].noisy;
-            let aty = kron_transpose_remote(exec, &refs, y, &ranges, observer, phase, sink)?;
-            let gram_pinvs: Vec<StructuredMatrix> =
-                factors.iter().map(StructuredMatrix::gram_pinv).collect();
-            let pinv_refs: Vec<&StructuredMatrix> = gram_pinvs.iter().collect();
-            kron_forward_remote_payload(exec, &pinv_refs, &aty, &ranges, observer, phase, sink)
-        }
-        Strategy::Marginals(m) => {
-            if view.leading != m.domain.attr_size(0) {
-                return Ok(hdmm_mechanism::reconstruct(strategy, meas));
-            }
-            let algebra = MarginalsAlgebra::new(&m.domain);
-            let n = m.domain.size();
-            let domain_ranges: Vec<Range<usize>> =
-                view.slabs.iter().map(|s| s.rows.clone()).collect();
-            let mut mty = vec![0.0; n];
-            let mut block_iter = meas.blocks.iter();
-            for (a, &theta) in m.theta.iter().enumerate() {
-                if theta == 0.0 {
-                    continue;
-                }
-                let block = block_iter
-                    .next()
-                    .expect("one block per positive-weight marginal");
-                let q = algebra.marginal_factors(a);
-                let refs: Vec<&StructuredMatrix> = q.iter().collect();
-                let back = kron_transpose_remote(
-                    exec,
-                    &refs,
-                    &block.noisy,
-                    &domain_ranges,
-                    observer,
-                    phase,
-                    sink,
-                )?;
-                for (acc, b) in mty.iter_mut().zip(&back) {
-                    *acc += theta * b;
-                }
-            }
-            let v = algebra.g_inverse_weights(&m.gram_weights());
-            Ok(algebra.g_apply(&v, &mty))
-        }
-    }
-}
-
 /// Untraced [`try_run_mechanism_remote_traced`] — the spans are discarded,
 /// everything else (timing callbacks, retry, results) is identical.
 #[allow(clippy::too_many_arguments)]
 pub fn try_run_mechanism_remote_observed(
     workload: &Workload,
     strategy: &Strategy,
+    prepared: &PreparedReconstruct,
     dataset: &str,
     view: &ShardedView<'_>,
     eps: f64,
@@ -435,6 +252,7 @@ pub fn try_run_mechanism_remote_observed(
     try_run_mechanism_remote_traced(
         workload,
         strategy,
+        prepared,
         dataset,
         view,
         eps,
@@ -447,11 +265,12 @@ pub fn try_run_mechanism_remote_observed(
 }
 
 /// The full checked remote pipeline with per-phase timing: budget-validated
-/// MEASURE with the slab fan-out over the worker pool, remote RECONSTRUCT,
-/// and local sharded ANSWER over the reconstructed estimate.
+/// MEASURE with the slab fan-out over the worker pool, then RECONSTRUCT with
+/// the caller's cached `prepared` factorization and ANSWER, both through the
+/// in-process sharded stages on the coordinator's local executor.
 ///
 /// Results are bitwise identical to
-/// [`try_run_mechanism_sharded_observed`](hdmm_mechanism::try_run_mechanism_sharded_observed)
+/// [`try_run_mechanism_sharded_prepared_observed`](hdmm_mechanism::try_run_mechanism_sharded_prepared_observed)
 /// on the same view with the same RNG — and therefore to the plain dense
 /// pipeline — for every worker count. On [`RemoteError::Net`] the RNG may be
 /// partially consumed; callers that fall back locally must reseed.
@@ -465,6 +284,7 @@ pub fn try_run_mechanism_remote_observed(
 pub fn try_run_mechanism_remote_traced(
     workload: &Workload,
     strategy: &Strategy,
+    prepared: &PreparedReconstruct,
     dataset: &str,
     view: &ShardedView<'_>,
     eps: f64,
@@ -474,26 +294,8 @@ pub fn try_run_mechanism_remote_traced(
     observer: &(impl PhaseObserver + ?Sized),
     sink: &dyn SpanSink,
 ) -> Result<MechanismResult, RemoteError> {
-    if !(eps.is_finite() && eps > 0.0) {
-        return Err(MechanismError::InvalidEpsilon { eps }.into());
-    }
-    if eps > remaining * (1.0 + 1e-12) {
-        return Err(MechanismError::BudgetExhausted {
-            requested: eps,
-            remaining,
-        }
-        .into());
-    }
-    let expected = workload.domain().size();
-    if view.total_len() != expected {
-        return Err(MechanismError::DataVectorMismatch {
-            expected,
-            got: view.total_len(),
-        }
-        .into());
-    }
+    validate_request(eps, remaining, workload.domain().size(), view.total_len())?;
 
-    let phase = MechanismPhase::Measure;
     let t = Instant::now();
     let meas = measure_with(
         strategy,
@@ -509,15 +311,15 @@ pub fn try_run_mechanism_remote_traced(
                 view.shard_count(),
                 exec.local(),
                 observer,
-                phase,
+                MechanismPhase::Measure,
             ))
         },
-        &mut |refs| kron_forward_remote(exec, dataset, refs, view, observer, phase, sink),
+        &mut |refs| kron_forward_remote(exec, dataset, refs, view, observer, sink),
     )?;
     observer.phase_complete(MechanismPhase::Measure, t.elapsed());
 
     let t = Instant::now();
-    let x_hat = reconstruct_remote(strategy, &meas, view, exec, observer, sink)?;
+    let x_hat = reconstruct_sharded_with(prepared, strategy, &meas, view, exec.local(), observer);
     observer.phase_complete(MechanismPhase::Reconstruct, t.elapsed());
 
     let t = Instant::now();
@@ -531,6 +333,7 @@ pub fn try_run_mechanism_remote_traced(
 mod tests {
     use super::*;
     use crate::worker::{spawn_worker, WorkerHandle, WorkerOptions};
+    use hdmm_linalg::partition_rows;
     use hdmm_mechanism::{
         try_run_mechanism, DataSlab, MarginalsStrategy, NoopObserver, UnionGroup,
     };
@@ -621,6 +424,7 @@ mod tests {
                 let got = try_run_mechanism_remote_observed(
                     &w,
                     &s,
+                    &PreparedReconstruct::new(&s),
                     "test",
                     &view,
                     1.0,
@@ -661,6 +465,7 @@ mod tests {
             try_run_mechanism_remote_observed(
                 &w,
                 &s,
+                &PreparedReconstruct::new(&s),
                 "d",
                 &view,
                 2.0,
@@ -689,6 +494,7 @@ mod tests {
         let r = try_run_mechanism_remote_observed(
             &w,
             &s,
+            &PreparedReconstruct::new(&s),
             "d",
             &view,
             1.0,

@@ -185,8 +185,10 @@ pub enum Frame {
         /// Trailing factors, outermost first.
         factors: Vec<StructuredMatrix>,
     },
-    /// RECONSTRUCT fan-out: apply trailing factors (forward or transposed)
-    /// to a coordinator-resident payload block shipped with the task.
+    /// Stateless task: apply trailing factors (forward or transposed) to a
+    /// payload block shipped with the task. Kept on the wire for protocol
+    /// compatibility; the serving pipeline no longer sends it, since
+    /// RECONSTRUCT runs on the coordinator.
     Apply {
         /// `true` for the transposed kernel (`Aᵀ`-side passes).
         transpose: bool,

@@ -7,6 +7,7 @@ use hdmm_core::{
     builders, census, BudgetAccountant, Domain, EngineError, PrivateSession, QueryEngine,
 };
 use hdmm_engine::{Engine, EngineOptions, EpsAccountant};
+use hdmm_mechanism::SolveKind;
 use hdmm_optimizer::HdmmOptions;
 
 fn quick_engine(seed: u64) -> Engine {
@@ -151,6 +152,47 @@ fn planner_routes_a_structured_union_through_the_cache_consistently() {
     let second = engine.serve("sf1-mini", &w, 0.5).unwrap();
     assert!(!first.cache_hit && second.cache_hit);
     assert_eq!(first.answers.len(), w.query_count());
+}
+
+#[test]
+fn union_served_error_stays_within_expected_error() {
+    // `expected_error` charges each union term to the one group that was
+    // optimized for it; the joint least-squares RECONSTRUCT also uses the
+    // other group's measurements, so served error can only be lower. The
+    // oracle is one-sided: over K seeded serves, the mean of empirical ÷
+    // expected squared error is at most 1 + 5·SE.
+    const K: usize = 200;
+    let engine = quick_engine(17);
+    let w = builders::range_total_union_2d(8, 8);
+    let domain = w.domain().clone();
+    let x: Vec<f64> = (0..domain.size()).map(|i| ((i * 13) % 31) as f64).collect();
+    let truth = w.answer(&x);
+    engine
+        .register_dataset("u", domain, x, K as f64 + 1.0)
+        .unwrap();
+    let ratios: Vec<f64> = (0..K)
+        .map(|_| {
+            let r = engine.serve("u", &w, 1.0).unwrap();
+            let sq: f64 = r
+                .answers
+                .iter()
+                .zip(&truth)
+                .map(|(a, t)| (a - t) * (a - t))
+                .sum();
+            sq / r.expected_error
+        })
+        .collect();
+    let mean = ratios.iter().sum::<f64>() / K as f64;
+    let var = ratios.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / (K - 1) as f64;
+    let se = (var / K as f64).sqrt();
+    assert!(
+        mean <= 1.0 + 5.0 * se,
+        "served/expected error ratio {mean} exceeds 1 + 5·SE (SE {se})"
+    );
+    // The census-style union takes the closed-form solve, never LSMR.
+    let t = engine.metrics().telemetry;
+    assert_eq!(t.reconstructs(SolveKind::ClosedForm), K as u64);
+    assert_eq!(t.reconstructs(SolveKind::Lsmr), 0);
 }
 
 #[test]

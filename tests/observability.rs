@@ -522,6 +522,25 @@ proptest! {
 /// nanoseconds, with bucket boundaries that reconstruct the cumulative
 /// distribution exactly.
 #[test]
+fn reconstruct_counter_labels_the_census_union_closed_form() {
+    let engine = engine_with(5, None);
+    let w = builders::range_total_union_2d(16, 16);
+    let domain = w.domain().clone();
+    engine
+        .register_dataset("u", domain.clone(), vec![1.0; domain.size()], 1.0)
+        .unwrap();
+    engine.serve("u", &w, 1.0).unwrap();
+    let page = engine.render_prometheus();
+    check_exposition(&page);
+    for needle in [
+        "hdmm_reconstruct_total{solve=\"closed_form\"} 1",
+        "hdmm_reconstruct_total{solve=\"lsmr\"} 0",
+    ] {
+        assert!(page.contains(needle), "missing `{needle}` in:\n{page}");
+    }
+}
+
+#[test]
 fn phase_snapshots_expose_buckets_and_sum() {
     let engine = engine_with(3, None);
     engine

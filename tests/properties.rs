@@ -1,9 +1,15 @@
 //! Property-based tests on the core identities the system relies on.
 
 use hdmm_core::{Domain, ProductTerm, Workload, WorkloadGrams};
-use hdmm_linalg::{kmatvec, kmatvec_transpose, kron_all, lsmr, DenseOp, LsmrOptions, Matrix};
-use hdmm_mechanism::MarginalsAlgebra;
+use hdmm_linalg::{
+    kmatvec, kmatvec_transpose, kron_all, lsmr, Cholesky, DenseOp, LsmrOptions, Matrix,
+};
+use hdmm_mechanism::{
+    measure, reconstruct_with, MarginalsAlgebra, PreparedReconstruct, SolveKind, UnionGroup,
+};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A random small query matrix with entries in {0, 1}.
 fn query_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -19,6 +25,72 @@ fn query_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
 /// A random data vector of non-negative counts.
 fn data_vec(len: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(0u32..50, len).prop_map(|v| v.into_iter().map(f64::from).collect())
+}
+
+/// A random p-Identity factor `[I; Θ]` on `n` cells with 1–3 extra rows,
+/// normalized to sensitivity 1 — the per-axis shape `OPT_+` emits.
+fn p_identity(rng: &mut StdRng, n: usize) -> Matrix {
+    let p = rng.gen_range(1..=3);
+    let m = Matrix::from_fn(n + p, n, |r, c| {
+        if r < n {
+            f64::from(u8::from(r == c))
+        } else {
+            rng.gen::<f64>()
+        }
+    });
+    let sens = m.norm_l1_operator();
+    m.scaled(1.0 / sens)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The closed-form two-group union RECONSTRUCT equals the dense solve of
+    /// the whitened normal equations `(Σ c_g²·A_gᵀA_g) x = Σ c_g²·A_gᵀy_g`,
+    /// `c_g = share_g / sens_g`, over random 2-D and 3-D p-Identity unions.
+    #[test]
+    fn closed_form_union_matches_dense_normal_equations(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dims = rng.gen_range(2..=3);
+        let sizes: Vec<usize> = (0..dims).map(|_| rng.gen_range(3..=12)).collect();
+        let share = rng.gen_range(0.05..0.95);
+        let groups: Vec<UnionGroup> = [share, 1.0 - share]
+            .into_iter()
+            .enumerate()
+            .map(|(g, s)| {
+                let factors: Vec<Matrix> = sizes.iter().map(|&n| p_identity(&mut rng, n)).collect();
+                UnionGroup::new(s, factors, vec![g])
+            })
+            .collect();
+        let strategy = hdmm_mechanism::Strategy::Union(groups.clone());
+        let prepared = PreparedReconstruct::new(&strategy);
+        prop_assert_eq!(prepared.solve_kind(), SolveKind::ClosedForm);
+
+        let n: usize = sizes.iter().product();
+        let x: Vec<f64> = (0..n).map(|_| f64::from(rng.gen_range(0u32..50))).collect();
+        let meas = measure(&strategy, &x, rng.gen_range(0.1..10.0), &mut rng);
+        let got = reconstruct_with(&prepared, &strategy, &meas);
+
+        let mut lhs = Matrix::zeros(n, n);
+        let mut rhs = vec![0.0; n];
+        for (g, block) in groups.iter().zip(&meas.blocks) {
+            let dense: Vec<Matrix> = g.factors.iter().map(|f| f.to_dense()).collect();
+            let refs: Vec<&Matrix> = dense.iter().collect();
+            let sens: f64 = dense.iter().map(Matrix::norm_l1_operator).product();
+            let c_sq = (g.share / sens).powi(2);
+            let grams: Vec<Matrix> = dense.iter().map(Matrix::gram).collect();
+            let gram_refs: Vec<&Matrix> = grams.iter().collect();
+            lhs.axpy(c_sq, &kron_all(&gram_refs));
+            for (acc, v) in rhs.iter_mut().zip(kmatvec_transpose(&refs, &block.noisy)) {
+                *acc += c_sq * v;
+            }
+        }
+        let want = Cholesky::new(&lhs).expect("SPD normal equations").solve_vec(&rhs);
+        let norm = |v: &[f64]| v.iter().map(|a| a * a).sum::<f64>().sqrt();
+        let diff: Vec<f64> = got.iter().zip(&want).map(|(a, b)| a - b).collect();
+        let rel = norm(&diff) / norm(&want);
+        prop_assert!(rel < 1e-8, "relative error {rel} at sizes {sizes:?}");
+    }
 }
 
 proptest! {

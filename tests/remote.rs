@@ -7,8 +7,17 @@
 
 use hdmm::core::{builders, Domain, QueryEngine, Workload};
 use hdmm::engine::{Engine, EngineOptions, RemoteOptions, RetryPolicy};
+use hdmm::linalg::{partition_rows, StructuredMatrix};
+use hdmm::mechanism::{
+    try_run_mechanism, DataSlab, MarginalsStrategy, NoopObserver, PreparedReconstruct, ShardedView,
+    SolveKind, Strategy, UnionGroup,
+};
 use hdmm::optimizer::HdmmOptions;
-use hdmm_net::{spawn_worker, WorkerHandle, WorkerOptions};
+use hdmm_net::{
+    spawn_worker, try_run_mechanism_remote_observed, RemoteExecutor, WorkerHandle, WorkerOptions,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::time::Duration;
 
 fn bits_eq(a: &[f64], b: &[f64]) -> bool {
@@ -136,6 +145,81 @@ fn remote_serving_is_byte_identical_to_dense_across_worker_counts() {
                     "{tag} workers={worker_count}: no task reached the pool"
                 );
             }
+        }
+    }
+}
+
+/// The pipeline-level contract under the engine test above: the remote
+/// pipeline, handed the strategy's cached `PreparedReconstruct` the way the
+/// engine hands it over, answers bitwise identically to the plain dense
+/// pipeline for a closed-form union and a marginals strategy.
+#[test]
+fn remote_pipeline_with_cached_prepared_matches_dense_bitwise() {
+    let (n1, n2) = (12, 8);
+    let union = Strategy::Union(vec![
+        UnionGroup::new(
+            0.4,
+            vec![
+                StructuredMatrix::prefix(n1).scaled(1.0 / n1 as f64),
+                StructuredMatrix::identity(n2),
+            ],
+            vec![0],
+        ),
+        UnionGroup::new(
+            0.6,
+            vec![
+                StructuredMatrix::identity(n1),
+                StructuredMatrix::prefix(n2).scaled(1.0 / n2 as f64),
+            ],
+            vec![1],
+        ),
+    ]);
+    let cube = Domain::new(&[6, 4, 5]);
+    let cases = [
+        (builders::range_total_union_2d(n1, n2), union),
+        (
+            builders::upto_kway_marginals(&cube, 2),
+            Strategy::Marginals(MarginalsStrategy::uniform(cube.clone())),
+        ),
+    ];
+    for (w, s) in cases {
+        let prepared = PreparedReconstruct::new(&s);
+        if matches!(s, Strategy::Union(_)) {
+            assert_eq!(prepared.solve_kind(), SolveKind::ClosedForm);
+        }
+        let x = data(w.domain().size());
+        let leading = w.domain().attr_size(0);
+        let stride = x.len() / leading;
+        let slabs = partition_rows(leading, 3)
+            .into_iter()
+            .map(|r| DataSlab {
+                rows: r.clone(),
+                values: &x[r.start * stride..r.end * stride],
+            })
+            .collect();
+        let view = ShardedView::new(leading, slabs);
+        let dense = try_run_mechanism(&w, &s, &x, 1.0, 1.0, &mut StdRng::seed_from_u64(5)).unwrap();
+        for worker_count in [1usize, 2, 3] {
+            let (_handles, opts) = spawn_workers(&vec![Duration::ZERO; worker_count]);
+            let exec = RemoteExecutor::connect(&opts);
+            let got = try_run_mechanism_remote_observed(
+                &w,
+                &s,
+                &prepared,
+                "d",
+                &view,
+                1.0,
+                1.0,
+                &mut StdRng::seed_from_u64(5),
+                &exec,
+                &NoopObserver,
+            )
+            .unwrap();
+            assert!(
+                bits_eq(&dense.x_hat, &got.x_hat) && bits_eq(&dense.answers, &got.answers),
+                "{} workers={worker_count}: remote diverges from dense",
+                s.kind()
+            );
         }
     }
 }

@@ -1,10 +1,10 @@
 //! Remote fan-out microbenchmarks: loopback worker-count sweep mirroring
 //! `micro_sharded`, with the shard tasks crossing a real TCP hop.
 //!
-//! `remote_measure/W` times the remote MEASURE → RECONSTRUCT pipeline
-//! (`try_run_mechanism_remote_observed` with a prepared reconstruction, the
-//! same path the engine's serving loop takes for sharded datasets with a
-//! transport configured) against a
+//! `remote_measure/W` times the checked pipeline with MEASURE's slab
+//! products on the workers (`Pipeline::run` with a prepared reconstruction
+//! and the `SlabRpc` source, the same path the engine's serving loop takes
+//! for sharded datasets with a transport configured) against a
 //! pool of W in-process `spawn_worker` loopback workers on a 2¹⁸-cell
 //! domain. Slabs are preloaded, so iterations measure task fan-out — wire
 //! encode, TCP round trip, worker-side contraction, ordered merge — not
@@ -25,10 +25,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdmm_core::{builders, Domain, Plan, QueryEngine, WorkloadGrams};
 use hdmm_engine::{Engine, EngineOptions, PlanStore};
 use hdmm_linalg::{partition_rows, StructuredMatrix};
-use hdmm_mechanism::{DataSlab, NoopObserver, PreparedReconstruct, ShardedView, Strategy};
+use hdmm_mechanism::{
+    DataSlab, NoopObserver, Pipeline, PreparedReconstruct, ScopedExecutor, ShardedView, Strategy,
+};
 use hdmm_net::{
-    spawn_worker, try_run_mechanism_remote_observed, RemoteExecutor, RemoteOptions, RetryPolicy,
-    WorkerHandle, WorkerOptions,
+    spawn_worker, RemoteOptions, RetryPolicy, SlabRpc, WorkerHandle, WorkerOptions, WorkerPool,
 };
 use hdmm_optimizer::{HdmmOptions, Selected};
 use rand::rngs::StdRng;
@@ -64,7 +65,6 @@ fn spawn_pool(workers: usize) -> (Vec<WorkerHandle>, RemoteOptions) {
             task_timeout: Duration::from_secs(30),
             ..Default::default()
         },
-        local_threads: SHARDS,
     };
     (handles, opts)
 }
@@ -87,26 +87,25 @@ fn bench_remote_measure(c: &mut Criterion) {
     let prepared = PreparedReconstruct::new(&strategy);
     let x = data(n1 * n2);
     let view = view_of(&x, n1, SHARDS);
+    let pipeline = Pipeline {
+        workload: &workload,
+        strategy: &strategy,
+        prepared: &prepared,
+        view: &view,
+        eps: 1.0,
+        remaining: f64::INFINITY,
+        lanes: &ScopedExecutor::new(SHARDS),
+        observer: &NoopObserver,
+    };
     for &workers in &WORKER_SWEEP {
         let (_handles, opts) = spawn_pool(workers);
-        let exec = RemoteExecutor::connect(&opts);
+        let exec = WorkerPool::connect(&opts.workers, opts.policy.clone());
         exec.preload("bench", &view).expect("loopback preload");
         group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, _| {
             let mut rng = StdRng::seed_from_u64(0);
             b.iter(|| {
-                criterion::black_box(try_run_mechanism_remote_observed(
-                    &workload,
-                    &strategy,
-                    &prepared,
-                    "bench",
-                    &view,
-                    1.0,
-                    f64::INFINITY,
-                    &mut rng,
-                    &exec,
-                    &NoopObserver,
-                ))
-                .expect("healthy pool")
+                criterion::black_box(pipeline.run(&mut rng, &SlabRpc::untraced(&exec, "bench")))
+                    .expect("healthy pool")
             });
         });
         let pool = exec.health();

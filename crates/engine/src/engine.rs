@@ -36,15 +36,12 @@ use hdmm_core::{
     PrivateSession, QueryEngine, QueryResponse, SessionId, ShardedDataVector, Workload,
     WorkloadFingerprint, WorkloadGrams,
 };
-use hdmm_mechanism::{
-    try_run_mechanism_prepared_observed, try_run_mechanism_sharded_prepared_observed, DataSlab,
-    PhaseObserver, ScopedExecutor, ShardedView,
-};
-use hdmm_net::{try_run_mechanism_remote_traced, RemoteError, RemoteExecutor, RemoteOptions};
+use hdmm_mechanism::{DataSlab, Lanes, PhaseObserver, Pipeline, ScopedExecutor, ShardedView};
+use hdmm_net::{RemoteError, RemoteOptions, SlabRpc, WorkerPool};
 use hdmm_obs::trace::dur_ns;
 use hdmm_obs::{AuditKind, AuditLog, Span, SpanCollector, SpanSink, TraceContext};
 use hdmm_optimizer::planner::{optimize_with_choice_observed, select_optimizer, OptimizerChoice};
-use hdmm_optimizer::{RestartExecutor, RestartObserver};
+use hdmm_optimizer::RestartObserver;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
@@ -190,6 +187,17 @@ struct DatasetState {
     failures: AtomicU64,
 }
 
+/// The backend's slabs as the pipeline's view: one slab for dense data.
+fn slab_view(data: &dyn DataBackend) -> ShardedView<'_> {
+    let slabs = (0..data.shard_count())
+        .map(|s| DataSlab {
+            rows: data.shard_rows(s),
+            values: data.shard_values(s),
+        })
+        .collect();
+    ShardedView::new(data.leading_len(), slabs)
+}
+
 /// Number of session shards; ids are sequential, so round-robin spreads load.
 const SESSION_SHARDS: usize = 8;
 
@@ -266,7 +274,7 @@ pub struct Engine {
     sessions: SessionStore,
     telemetry: Telemetry,
     shard_exec: ScopedExecutor,
-    remote: Option<RemoteExecutor>,
+    remote: Option<WorkerPool>,
     next_session: AtomicU64,
     collector: SpanCollector,
     audit: AuditLog,
@@ -373,7 +381,7 @@ impl Engine {
             }
         }
         let telemetry = Telemetry::default();
-        telemetry.set_select_threads(RestartExecutor::new(options.hdmm.threads).threads() as u64);
+        telemetry.set_select_threads(ScopedExecutor::new(options.hdmm.threads).threads() as u64);
         Ok(Engine {
             cache: StrategyCache::new(options.cache_capacity),
             plan_store: options.cache_dir.clone().map(PlanStore::new),
@@ -381,7 +389,8 @@ impl Engine {
             sessions: SessionStore::new(options.session_capacity),
             telemetry,
             shard_exec: ScopedExecutor::new(options.shard_workers),
-            remote: options.remote.as_ref().map(RemoteExecutor::connect),
+            remote: (options.remote.as_ref())
+                .map(|r| WorkerPool::connect(&r.workers, r.policy.clone())),
             collector: SpanCollector::new(options.trace_capacity),
             audit: AuditLog::new(options.audit_capacity),
             options,
@@ -565,14 +574,8 @@ impl Engine {
         // Best-effort: `run_slab_task` re-pushes on demand, so a failure here
         // (worker down, pool empty) costs first-request latency only.
         if let Some(remote) = &self.remote {
-            if data.as_contiguous().is_none() {
-                let slabs: Vec<DataSlab<'_>> = (0..data.shard_count())
-                    .map(|s| DataSlab {
-                        rows: data.shard_rows(s),
-                        values: data.shard_values(s),
-                    })
-                    .collect();
-                let view = ShardedView::new(data.leading_len(), slabs);
+            let view = slab_view(data.as_ref());
+            if view.shard_count() > 1 {
                 let _ = remote.preload(&name, &view);
             }
         }
@@ -887,7 +890,7 @@ impl Engine {
                 audit_events: self.audit.emitted(),
                 audit_subscriber_drops: self.audit.subscriber_drops(),
             },
-            remote: self.remote.as_ref().map(RemoteExecutor::health),
+            remote: self.remote.as_ref().map(WorkerPool::health),
             wal: self.wal.as_ref().map(Wal::metrics),
         }
     }
@@ -1156,69 +1159,41 @@ impl Engine {
         // MEASURE + RECONSTRUCT + answer, lock-free: the data is immutable
         // and the reservation already guaranteed the budget. `remaining =
         // eps` keeps the mechanism's own validation consistent with the
-        // reservation. A single-slab backend takes the dense path; sharded
-        // backends fan out per slab — with byte-identical results, so the
-        // branch is a performance decision only.
-        let result = match handle.data.as_contiguous() {
-            Some(x) => try_run_mechanism_prepared_observed(
-                workload,
-                plan.strategy(),
-                &prepared,
-                x,
-                eps,
-                eps,
-                &mut rng,
-                tracer,
-            ),
-            None => {
-                let slabs: Vec<DataSlab<'_>> = (0..handle.data.shard_count())
-                    .map(|s| DataSlab {
-                        rows: handle.data.shard_rows(s),
-                        values: handle.data.shard_values(s),
-                    })
-                    .collect();
-                let view = ShardedView::new(handle.data.leading_len(), slabs);
-                let local = |rng: &mut StdRng| {
-                    try_run_mechanism_sharded_prepared_observed(
-                        workload,
-                        plan.strategy(),
-                        &prepared,
-                        &view,
-                        eps,
-                        eps,
-                        rng,
-                        &self.shard_exec,
-                        tracer,
-                    )
+        // reservation. Dense data is a one-slab view and runs the contiguous
+        // kernels; sharded data fans out per slab, its MEASURE products on
+        // the remote workers when a transport is configured — with
+        // byte-identical results either way.
+        let view = slab_view(handle.data.as_ref());
+        let pipeline = Pipeline {
+            workload,
+            strategy: plan.strategy(),
+            prepared: &prepared,
+            view: &view,
+            eps,
+            remaining: eps,
+            lanes: &self.shard_exec,
+            observer: tracer,
+        };
+        let result = match self.remote.as_ref().filter(|_| view.shard_count() > 1) {
+            None => pipeline.run(&mut rng, &Lanes),
+            Some(pool) => {
+                let source = SlabRpc {
+                    pool,
+                    dataset,
+                    sink: tracer,
                 };
-                match &self.remote {
-                    Some(remote) => match try_run_mechanism_remote_traced(
-                        workload,
-                        plan.strategy(),
-                        &prepared,
-                        dataset,
-                        &view,
-                        eps,
-                        eps,
-                        &mut rng,
-                        remote,
-                        tracer,
-                        tracer,
-                    ) {
-                        Ok(r) => Ok(r),
-                        Err(RemoteError::Mechanism(e)) => Err(e),
-                        Err(RemoteError::Net(_)) => {
-                            // No worker could complete the request, even after
-                            // retry and reassignment: serve locally. The RNG
-                            // is reseeded from the request seed, so the local
-                            // rerun redraws the identical noise stream — the
-                            // fallback is invisible in the answer bytes.
-                            self.telemetry.record_remote_fallback();
-                            rng = StdRng::seed_from_u64(req_seed);
-                            local(&mut rng)
-                        }
-                    },
-                    None => local(&mut rng),
+                match pipeline.run(&mut rng, &source) {
+                    Ok(r) => Ok(r),
+                    Err(RemoteError::Mechanism(e)) => Err(e),
+                    Err(RemoteError::Net(_)) => {
+                        // No worker could complete the request, even after
+                        // retry and reassignment: serve locally. The RNG is
+                        // reseeded from the request seed, so the local rerun
+                        // redraws the identical noise stream — the fallback
+                        // is invisible in the answer bytes.
+                        self.telemetry.record_remote_fallback();
+                        pipeline.run(&mut StdRng::seed_from_u64(req_seed), &Lanes)
+                    }
                 }
             }
         }

@@ -80,11 +80,11 @@ impl Session {
     /// count. The engine routes [`serve_batch_from_session`] here with its
     /// shard-worker executor.
     ///
-    /// [`serve_batch_from_session`]: crate::QueryEngine::serve_batch_from_session
+    /// [`serve_batch_from_session`]: crate::Engine::serve_batch_from_session
     pub fn answer_batch_on(
         &self,
         workloads: &[&Workload],
-        exec: &dyn hdmm_mechanism::ShardExecutor,
+        exec: &hdmm_mechanism::ScopedExecutor,
     ) -> Result<Vec<Vec<f64>>, EngineError> {
         for w in workloads {
             if w.domain() != &self.domain {
@@ -183,10 +183,6 @@ mod tests {
             let par = s.answer_batch_on(&workloads, &exec).unwrap();
             assert_eq!(serial, par, "lane count {threads} changed answers");
         }
-        let par = s
-            .answer_batch_on(&workloads, &hdmm_mechanism::SerialExecutor)
-            .unwrap();
-        assert_eq!(serial, par);
     }
 
     #[test]
@@ -195,7 +191,7 @@ mod tests {
         let good = builders::prefix_1d(4);
         let bad = builders::prefix_1d(8);
         assert!(matches!(
-            s.answer_batch_on(&[&good, &bad], &hdmm_mechanism::SerialExecutor),
+            s.answer_batch_on(&[&good, &bad], &hdmm_mechanism::ScopedExecutor::new(1)),
             Err(EngineError::DomainMismatch { .. })
         ));
     }

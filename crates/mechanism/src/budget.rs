@@ -1,14 +1,9 @@
-//! Budget-aware measurement: typed validation in front of the Laplace
-//! mechanism.
+//! Typed validation in front of the Laplace mechanism.
 //!
 //! [`crate::measure`] asserts on misuse; a serving engine needs typed errors
-//! it can return to callers instead. [`try_measure`] validates the privacy
-//! parameter and data-vector shape against an explicit remaining budget and
-//! only then runs the (ε-differentially-private) measurement.
-
-use crate::{measure, reconstruct, MechanismResult, Strategy};
-use hdmm_workload::Workload;
-use rand::Rng;
+//! it can return to callers instead. [`validate_request`] checks the privacy
+//! parameter and data-vector shape against an explicit remaining budget, and
+//! [`crate::Pipeline::run`] calls it before any noise is drawn.
 
 /// Typed failures of budget-aware measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,58 +82,14 @@ pub fn validate_request(
     Ok(())
 }
 
-/// MEASURE with typed validation: checks `eps` is positive and finite, fits
-/// within `remaining` budget, and `x` matches `expected_cells`, then runs the
-/// vector-form Laplace mechanism. Consumes exactly `eps` of budget on success
-/// and nothing on failure (errors are returned before any noise is drawn).
-pub fn try_measure(
-    strategy: &Strategy,
-    x: &[f64],
-    eps: f64,
-    remaining: f64,
-    expected_cells: usize,
-    rng: &mut impl Rng,
-) -> Result<crate::Measurements, MechanismError> {
-    validate_request(eps, remaining, expected_cells, x.len())?;
-    Ok(measure(strategy, x, eps, rng))
-}
-
-/// The full checked pipeline: budget-validated MEASURE, then RECONSTRUCT and
-/// workload answering (both ε-free post-processing).
-pub fn try_run_mechanism(
-    workload: &Workload,
-    strategy: &Strategy,
-    x: &[f64],
-    eps: f64,
-    remaining: f64,
-    rng: &mut impl Rng,
-) -> Result<MechanismResult, MechanismError> {
-    let meas = try_measure(strategy, x, eps, remaining, workload.domain().size(), rng)?;
-    let x_hat = reconstruct(strategy, &meas);
-    let answers = workload.answer(&x_hat);
-    Ok(MechanismResult { x_hat, answers })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdmm_workload::builders;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn setup() -> (hdmm_workload::Workload, Strategy, Vec<f64>) {
-        let w = builders::prefix_1d(8);
-        let s = Strategy::identity(w.domain());
-        (w, s, vec![1.0; 8])
-    }
 
     #[test]
-    fn over_budget_is_rejected_before_measuring() {
-        let (_, s, x) = setup();
-        let mut rng = StdRng::seed_from_u64(0);
-        let err = try_measure(&s, &x, 2.0, 1.0, 8, &mut rng).unwrap_err();
+    fn over_budget_is_rejected() {
         assert_eq!(
-            err,
+            validate_request(2.0, 1.0, 8, 8).unwrap_err(),
             MechanismError::BudgetExhausted {
                 requested: 2.0,
                 remaining: 1.0
@@ -148,18 +99,14 @@ mod tests {
 
     #[test]
     fn exact_remaining_budget_is_allowed() {
-        let (_, s, x) = setup();
-        let mut rng = StdRng::seed_from_u64(0);
-        assert!(try_measure(&s, &x, 1.0, 1.0, 8, &mut rng).is_ok());
+        assert!(validate_request(1.0, 1.0, 8, 8).is_ok());
     }
 
     #[test]
     fn invalid_epsilon_is_typed() {
-        let (_, s, x) = setup();
-        let mut rng = StdRng::seed_from_u64(0);
         for eps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert!(matches!(
-                try_measure(&s, &x, eps, 10.0, 8, &mut rng),
+                validate_request(eps, 10.0, 8, 8),
                 Err(MechanismError::InvalidEpsilon { .. })
             ));
         }
@@ -167,24 +114,12 @@ mod tests {
 
     #[test]
     fn shape_mismatch_is_typed() {
-        let (_, s, _) = setup();
-        let mut rng = StdRng::seed_from_u64(0);
-        let err = try_measure(&s, &[1.0; 5], 1.0, 1.0, 8, &mut rng).unwrap_err();
         assert_eq!(
-            err,
+            validate_request(1.0, 1.0, 8, 5).unwrap_err(),
             MechanismError::DataVectorMismatch {
                 expected: 8,
                 got: 5
             }
         );
-    }
-
-    #[test]
-    fn checked_pipeline_matches_unchecked_per_seed() {
-        let (w, s, x) = setup();
-        let checked =
-            try_run_mechanism(&w, &s, &x, 1000.0, 1000.0, &mut StdRng::seed_from_u64(7)).unwrap();
-        let unchecked = crate::run_mechanism(&w, &s, &x, 1000.0, &mut StdRng::seed_from_u64(7));
-        assert_eq!(checked.answers, unchecked.answers);
     }
 }

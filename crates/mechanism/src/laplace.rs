@@ -9,7 +9,14 @@ pub fn laplace_noise(rng: &mut impl Rng, scale: f64) -> f64 {
         return 0.0;
     }
     // u uniform in (-0.5, 0.5); inverse CDF: -b·sgn(u)·ln(1 − 2|u|).
-    let u: f64 = rng.gen::<f64>() - 0.5;
+    // `gen` is uniform on [0, 1): its exact 0.0 would give u = -0.5 and
+    // ln(0) = -inf, so that one value is redrawn.
+    let u = loop {
+        let g: f64 = rng.gen();
+        if g != 0.0 {
+            break g - 0.5;
+        }
+    };
     -scale * u.signum() * (1.0 - 2.0 * u.abs()).ln()
 }
 
@@ -60,5 +67,25 @@ mod tests {
             .count();
         let frac = below as f64 / n as f64;
         assert!((frac - 0.5).abs() < 0.01, "frac {frac}");
+    }
+
+    #[test]
+    fn zero_uniform_draw_is_redrawn_not_infinite() {
+        /// Returns 0 first (`gen` → exactly 0.0), then a fixed word.
+        struct ZeroFirst(u32);
+        impl rand::RngCore for ZeroFirst {
+            fn next_u64(&mut self) -> u64 {
+                self.0 += 1;
+                if self.0 == 1 {
+                    0
+                } else {
+                    3 << 62
+                }
+            }
+        }
+        let noise = laplace_noise(&mut ZeroFirst(0), 1.0);
+        assert!(noise.is_finite(), "got {noise}");
+        // The redraw is 0.75: u = 0.25, noise = -ln(0.5).
+        assert_eq!(noise, -(0.5f64.ln()));
     }
 }

@@ -12,11 +12,18 @@
 //! * [`error`] — `‖WA⁺‖²_F` for every strategy form, decomposed per
 //!   Theorems 5/6 so only per-attribute blocks are touched;
 //! * [`laplace`] — the vector-form Laplace mechanism (Definition 6);
-//! * [`run_mechanism`] — the end-to-end ε-differentially-private pipeline
-//!   `measure → reconstruct → answer`.
+//! * [`Pipeline`] — the one checked serving pipeline, validate → MEASURE →
+//!   RECONSTRUCT → ANSWER over the slabs of a [`ShardedView`] (one slab when
+//!   dense) on one [`ScopedExecutor`], with MEASURE's per-slab trailing
+//!   products from a [`SlabForward`] source: in-process [`Lanes`] or remote
+//!   workers;
+//! * [`ScopedExecutor`] — the one lane executor behind every fan-out;
+//! * [`run_mechanism`], [`measure`], [`reconstruct`], [`reconstruct_with`] —
+//!   the unchecked dense reference every bitwise contract compares against.
 
 pub mod budget;
 pub mod error;
+mod executor;
 pub mod laplace;
 pub mod marginals;
 mod mechanism;
@@ -25,23 +32,18 @@ pub mod sharded;
 mod strategy;
 mod union;
 
-pub use budget::{try_measure, try_run_mechanism, validate_request, MechanismError};
+pub use budget::{validate_request, MechanismError};
+pub use executor::ScopedExecutor;
 pub use marginals::{MarginalsAlgebra, MarginalsStrategy};
 pub use mechanism::MeasuredBlock;
 pub use mechanism::{
     answer_many_from_parts, answer_many_from_parts_on, answer_workload, measure, reconstruct,
     reconstruct_with, run_mechanism, Measurements, MechanismResult, PreparedReconstruct, SolveKind,
 };
-pub use phases::{
-    try_run_mechanism_observed, try_run_mechanism_prepared_observed, MechanismPhase, NoopObserver,
-    PhaseObserver,
-};
+pub use phases::{MechanismPhase, NoopObserver, PhaseObserver, Pipeline};
 pub use sharded::{
-    answer_sharded, explicit_forward_sharded, kron_forward_from_parts, kron_forward_sharded,
-    kron_transpose_sharded, measure_sharded, measure_with, reconstruct_sharded,
-    reconstruct_sharded_with, try_run_mechanism_sharded_observed,
-    try_run_mechanism_sharded_prepared_observed, DataSlab, ScopedExecutor, SerialExecutor,
-    ShardExecutor, ShardedView,
+    answer_sharded, measure_sharded, measure_with, reconstruct_sharded_with, DataSlab, Lanes,
+    ShardedView, SlabForward,
 };
 pub use strategy::{Strategy, UnionGroup};
 pub use union::UnionSolve;

@@ -2,9 +2,9 @@
 //! (Table 1(b) of the paper, with the efficient implementations of §7.2).
 
 use crate::error::gram_pinv;
-use crate::laplace::add_laplace_noise;
+use crate::sharded::infallible;
 use crate::union::UnionSolve;
-use crate::{MarginalsAlgebra, Strategy};
+use crate::{measure_with, MarginalsAlgebra, ScopedExecutor, Strategy};
 use hdmm_linalg::{
     kmatvec_structured, kmatvec_transpose_structured, lsmr, KronScratch, LinOp, LsmrOptions,
     Matrix, ScaledOp, StackedOp, StructuredMatrix,
@@ -42,74 +42,17 @@ pub struct MechanismResult {
 
 /// MEASURE: computes `A·x` implicitly and adds Laplace noise calibrated to
 /// the strategy sensitivity (Definition 6). ε-differentially private.
+///
+/// The one-slab call of the shared strategy walk [`measure_with`]: the
+/// contiguous kernels over the whole data vector.
 pub fn measure(strategy: &Strategy, x: &[f64], eps: f64, rng: &mut impl Rng) -> Measurements {
-    assert!(eps > 0.0, "privacy budget must be positive");
-    let blocks = match strategy {
-        Strategy::Explicit(a) => {
-            let scale = a.norm_l1_operator() / eps;
-            let mut noisy = a.matvec(x);
-            add_laplace_noise(&mut noisy, scale, rng);
-            vec![MeasuredBlock {
-                noisy,
-                noise_scale: scale,
-            }]
-        }
-        Strategy::Kron(factors) => {
-            let sens: f64 = factors.iter().map(StructuredMatrix::sensitivity).product();
-            let scale = sens / eps;
-            let refs: Vec<&StructuredMatrix> = factors.iter().collect();
-            let mut noisy = kmatvec_structured(&refs, x);
-            add_laplace_noise(&mut noisy, scale, rng);
-            vec![MeasuredBlock {
-                noisy,
-                noise_scale: scale,
-            }]
-        }
-        Strategy::Marginals(m) => {
-            let scale = m.sensitivity() / eps;
-            let algebra = MarginalsAlgebra::new(&m.domain);
-            let mut blocks = Vec::new();
-            for (a, &theta) in m.theta.iter().enumerate() {
-                if theta == 0.0 {
-                    continue;
-                }
-                let q = algebra.marginal_factors(a);
-                let refs: Vec<&StructuredMatrix> = q.iter().collect();
-                let mut noisy = kmatvec_structured(&refs, x);
-                for v in &mut noisy {
-                    *v *= theta;
-                }
-                add_laplace_noise(&mut noisy, scale, rng);
-                blocks.push(MeasuredBlock {
-                    noisy,
-                    noise_scale: scale,
-                });
-            }
-            blocks
-        }
-        Strategy::Union(groups) => {
-            // Sequential composition: group g runs at ε_g = share_g·ε.
-            groups
-                .iter()
-                .map(|g| {
-                    let sens: f64 = g
-                        .factors
-                        .iter()
-                        .map(StructuredMatrix::sensitivity)
-                        .product();
-                    let scale = sens / (g.share * eps);
-                    let refs: Vec<&StructuredMatrix> = g.factors.iter().collect();
-                    let mut noisy = kmatvec_structured(&refs, x);
-                    add_laplace_noise(&mut noisy, scale, rng);
-                    MeasuredBlock {
-                        noisy,
-                        noise_scale: scale,
-                    }
-                })
-                .collect()
-        }
-    };
-    Measurements { blocks, eps }
+    infallible(measure_with(
+        strategy,
+        eps,
+        rng,
+        &mut |a| Ok(a.matvec(x)),
+        &mut |refs| Ok(kmatvec_structured(refs, x)),
+    ))
 }
 
 /// The strategy-only half of RECONSTRUCT, factored out so a serving layer
@@ -337,30 +280,22 @@ pub fn answer_many_from_parts(x_hat: &[f64], workloads: &[&Workload]) -> Vec<Vec
         .collect()
 }
 
-/// [`answer_many_from_parts`] fanned over a [`crate::ShardExecutor`]: each
-/// workload is an independent `W·x̄` pass, so the batch parallelizes with no
-/// coordination. Every task owns its own [`KronScratch`] (scratch buffers
+/// [`answer_many_from_parts`] fanned over a [`ScopedExecutor`]: each
+/// workload is an independent `W·x̄` job, so the batch parallelizes with no
+/// coordination. Every job owns its own [`KronScratch`] (scratch buffers
 /// never affect values), so entry `i` stays bitwise identical to
-/// `answer_workload(workloads[i], x_hat)` at any lane count — including the
-/// serial [`crate::SerialExecutor`].
+/// `answer_workload(workloads[i], x_hat)` at any lane count.
 pub fn answer_many_from_parts_on(
     x_hat: &[f64],
     workloads: &[&Workload],
-    exec: &dyn crate::ShardExecutor,
+    exec: &ScopedExecutor,
 ) -> Vec<Vec<f64>> {
-    let mut out: Vec<Vec<f64>> = vec![Vec::new(); workloads.len()];
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
-        .iter_mut()
-        .zip(workloads)
-        .map(|(slot, w)| {
-            Box::new(move || {
-                let mut scratch = KronScratch::new();
-                *slot = w.answer_with(x_hat, &mut scratch);
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    exec.run(tasks);
-    out
+    exec.run(
+        workloads
+            .iter()
+            .map(|w| move || w.answer_with(x_hat, &mut KronScratch::new()))
+            .collect(),
+    )
 }
 
 /// Runs the complete ε-differentially-private pipeline (Theorem 7: privacy
@@ -533,14 +468,9 @@ mod tests {
         let workloads: [&Workload; 3] = [&w1, &w2, &w3];
         let serial = answer_many_from_parts(&x_hat, &workloads);
         for threads in [1, 2, 4, 7] {
-            let par =
-                answer_many_from_parts_on(&x_hat, &workloads, &crate::ScopedExecutor::new(threads));
+            let par = answer_many_from_parts_on(&x_hat, &workloads, &ScopedExecutor::new(threads));
             assert_eq!(serial, par, "lane count {threads} changed answers");
         }
-        assert_eq!(
-            serial,
-            answer_many_from_parts_on(&x_hat, &workloads, &crate::SerialExecutor)
-        );
     }
 
     #[test]

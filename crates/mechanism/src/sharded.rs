@@ -1,65 +1,78 @@
-//! Sharded MEASURE / RECONSTRUCT / ANSWER: the fan-out pipeline over
+//! Sharded MEASURE / RECONSTRUCT / ANSWER: the pipeline's stages over
 //! leading-axis slabs of the data vector.
 //!
 //! HDMM's Kronecker structure makes the data vector separable per attribute
 //! (§7.2): every mode contraction except the leading one operates
 //! independently per leading-axis index, so a dataset partitioned into
 //! contiguous slabs along its leading attribute can measure, reconstruct, and
-//! answer with per-shard tasks:
+//! answer with per-shard jobs on the [`ScopedExecutor`]'s lanes:
 //!
-//! * **MEASURE** — each shard applies the trailing strategy factors to its
-//!   slab (the bulk of the flops); the merged intermediate is then contracted
-//!   with the leading factor in parallel over *output-row* blocks, and noise
-//!   is added exactly once over the assembled measurement vector — the
-//!   privacy analysis is unchanged because the mechanism output distribution
-//!   is identical to the unsharded mechanism's.
+//! * **MEASURE** — each slab's trailing-factor product (the bulk of the
+//!   flops) runs wherever the pipeline's [`SlabForward`] source puts it: on
+//!   the in-process [`Lanes`], or as slab RPCs to remote workers. The ordered
+//!   merge and the leading contraction over *output-row* blocks always run
+//!   here, and noise is added exactly once over the assembled measurement
+//!   vector — the privacy analysis is unchanged because the mechanism output
+//!   distribution is identical to the unsharded mechanism's.
 //! * **RECONSTRUCT** — `Aᵀy` fans out over measurement-axis slabs (trailing
 //!   transposes) then domain-axis blocks (leading transpose), and the inverse
 //!   Grams scatter `x̂` back per domain slab. Union strategies keep their
 //!   global solve — the two-group closed form of [`crate::UnionSolve`] when
 //!   it applies, LSMR otherwise — and marginals run the whole `G(v)·Mᵀy`
 //!   down and up the subset tree of [`crate::MarginalsAlgebra`] (a few
-//!   passes over the domain in all); both are documented single-task
-//!   stages. RECONSTRUCT is post-processing of measurements the coordinator
-//!   already holds, so the remote executor runs this same stage locally
-//!   instead of shipping it to workers.
+//!   passes over the domain in all); both are documented single-job stages.
+//!   RECONSTRUCT is post-processing of measurements the coordinator already
+//!   holds, so it never leaves the process.
 //! * **ANSWER** — each workload term runs the same forward fan-out over `x̂`.
+//!
+//! A one-slab view — dense data — goes straight to the contiguous kernels
+//! (`kmatvec_structured`, [`reconstruct_with`](crate::reconstruct_with),
+//! [`Workload::answer`]), so the dense path keeps its kernels, allocations
+//! and span tree while sharing every line of the strategy walk.
 //!
 //! ## Exactness contract
 //!
-//! Every pipeline here is **bitwise identical** to the plain
+//! Every stage here is **bitwise identical** to the plain
 //! [`measure`](crate::measure) / [`reconstruct`](crate::reconstruct) /
-//! [`Workload::answer`] path for *any* shard count, including 1 — floating
-//! point sums are never reassociated (see [`hdmm_linalg::apply_leading_rows`]
-//! for the kernel-level argument), noise is drawn from the same RNG in the
-//! same order, and merges are ordered concatenations. A serving engine can
-//! therefore promise: same seed, same dataset, same request order ⇒ same
-//! answers, regardless of how the data vector is partitioned.
+//! [`Workload::answer`] path for *any* shard count and lane count, including
+//! 1 — floating point sums are never reassociated (see
+//! [`hdmm_linalg::apply_leading_rows`] for the kernel-level argument), noise
+//! is drawn from the same RNG in the same order, and merges are ordered
+//! concatenations. A serving engine can therefore promise: same seed, same
+//! dataset, same request order ⇒ same answers, regardless of how the data
+//! vector is partitioned or where its slabs live.
 //!
 //! [`Workload::answer`]: hdmm_workload::Workload::answer
 
-use crate::budget::{validate_request, MechanismError};
+use crate::budget::MechanismError;
 use crate::laplace::add_laplace_noise;
 use crate::phases::{MechanismPhase, PhaseObserver};
 use crate::{
-    MarginalsAlgebra, MeasuredBlock, Measurements, MechanismResult, PreparedReconstruct, Strategy,
+    MarginalsAlgebra, MeasuredBlock, Measurements, PreparedReconstruct, ScopedExecutor, Strategy,
 };
 use hdmm_linalg::{
-    apply_leading_rows, apply_leading_transpose_rows, kmatvec_trailing_slab,
-    kmatvec_transpose_trailing_slab, leading_split, matvec_rows, partition_rows, StructuredMatrix,
+    apply_leading_rows, apply_leading_transpose_rows, kmatvec_structured, kmatvec_trailing_slab,
+    kmatvec_transpose_trailing_slab, leading_split, matvec_rows, partition_rows, Matrix,
+    StructuredMatrix,
 };
 use hdmm_workload::Workload;
 use rand::Rng;
+use std::convert::Infallible;
 use std::ops::Range;
 use std::time::Instant;
 
 /// Fallible dense-strategy product `A·x` for [`measure_with`]: how the
-/// executor computes the explicit-matrix measurement vector.
-pub type ExplicitFn<'a, E> = dyn FnMut(&hdmm_linalg::Matrix) -> Result<Vec<f64>, E> + 'a;
+/// caller computes the explicit-matrix measurement vector.
+pub type ExplicitFn<'a, E> = dyn FnMut(&Matrix) -> Result<Vec<f64>, E> + 'a;
 
 /// Fallible Kronecker forward product over the data for [`measure_with`]:
-/// how the executor computes one measurement block from its factors.
+/// how the caller computes one measurement block from its factors.
 pub type ForwardFn<'a, E> = dyn FnMut(&[&StructuredMatrix]) -> Result<Vec<f64>, E> + 'a;
+
+/// Phase 1 of the forward fan-out: the trailing-factor product of every slab
+/// of the view, in slab order — where the pipeline's [`SlabForward`] source
+/// plugs in.
+type TrailingFn<'a, E> = dyn FnMut(&[&StructuredMatrix]) -> Result<Vec<Vec<f64>>, E> + 'a;
 
 /// One contiguous slab of a row-major data vector: leading-axis rows `rows`
 /// holding `rows.len() · (N / leading)` cells.
@@ -69,13 +82,6 @@ pub struct DataSlab<'a> {
     pub rows: Range<usize>,
     /// The slab's cells, row-major.
     pub values: &'a [f64],
-}
-
-impl DataSlab<'_> {
-    /// Leading-axis rows in this slab.
-    pub fn len_rows(&self) -> usize {
-        self.rows.end - self.rows.start
-    }
 }
 
 /// A data vector partitioned into ordered, contiguous leading-axis slabs.
@@ -115,15 +121,18 @@ impl<'a> ShardedView<'a> {
         ShardedView { leading, slabs }
     }
 
-    /// A single-slab view over a whole dense vector.
-    pub fn dense(leading: usize, x: &'a [f64]) -> Self {
-        ShardedView::new(
-            leading,
-            vec![DataSlab {
-                rows: 0..leading,
-                values: x,
-            }],
-        )
+    /// `x` cut into `shards` near-equal leading-axis slabs (the canonical
+    /// [`partition_rows`] partition).
+    pub fn partition(x: &'a [f64], leading: usize, shards: usize) -> Self {
+        let stride = x.len() / leading;
+        let slabs = partition_rows(leading, shards)
+            .into_iter()
+            .map(|r| DataSlab {
+                values: &x[r.start * stride..r.end * stride],
+                rows: r,
+            })
+            .collect();
+        ShardedView::new(leading, slabs)
     }
 
     /// Total cells across all slabs.
@@ -141,6 +150,15 @@ impl<'a> ShardedView<'a> {
         self.slabs.len()
     }
 
+    /// The whole vector when the view is a single slab — the dense case the
+    /// stages hand to the contiguous kernels.
+    fn as_single(&self) -> Option<&'a [f64]> {
+        match self.slabs.as_slice() {
+            [only] => Some(only.values),
+            _ => None,
+        }
+    }
+
     /// Materializes the full vector (ordered concatenation — exact).
     pub fn assemble(&self) -> Vec<f64> {
         let mut x = Vec::with_capacity(self.total_len());
@@ -150,12 +168,10 @@ impl<'a> ShardedView<'a> {
         x
     }
 
-    /// The slab row ranges translated to an axis of length `axis_len`
-    /// (`axis_len` must equal `leading` times an integer or divide it so the
-    /// element boundaries stay aligned). Returns `None` when a boundary does
-    /// not fall on a whole row of the target axis. Public because remote
-    /// executors need the same alignment test before fanning tasks out.
-    pub fn ranges_on_axis(&self, axis_len: usize, axis_stride: usize) -> Option<Vec<Range<usize>>> {
+    /// The slab row ranges translated to an axis of length `axis_len` whose
+    /// elements are `axis_stride` cells apart. Returns `None` when a
+    /// boundary does not fall on a whole row of the target axis.
+    fn ranges_on_axis(&self, axis_len: usize, axis_stride: usize) -> Option<Vec<Range<usize>>> {
         let stride = self.stride();
         let mut out = Vec::with_capacity(self.slabs.len());
         for s in &self.slabs {
@@ -174,162 +190,132 @@ impl<'a> ShardedView<'a> {
     }
 }
 
-/// Runs a batch of independent shard tasks to completion, possibly in
-/// parallel. Implementations must execute every task before returning.
-pub trait ShardExecutor: Sync {
-    /// Executes all tasks; ordering across tasks is unspecified (tasks write
-    /// disjoint outputs), completion is awaited.
-    fn run<'a>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'a>>);
+/// Where MEASURE's per-slab trailing-factor products run — the pipeline's
+/// one degree of freedom ([`crate::Pipeline::run`]).
+pub trait SlabForward: Sync {
+    /// A failure of the fan-out; request validation errors convert into it.
+    type Error: From<MechanismError>;
+
+    /// `(⊗ trailing)·slabᵢ` for every slab of `view`, in slab order.
+    /// `lanes` and `observer` are the pipeline's, for sources that fan out
+    /// in-process or report shard timings.
+    fn trailing_parts<O: PhaseObserver + ?Sized>(
+        &self,
+        trailing: &[&StructuredMatrix],
+        view: &ShardedView<'_>,
+        lanes: &ScopedExecutor,
+        observer: &O,
+    ) -> Result<Vec<Vec<f64>>, Self::Error>;
 }
 
-/// Runs shard tasks inline on the calling thread, in order.
+/// The in-process source: one job per slab on the pipeline's lanes.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SerialExecutor;
+pub struct Lanes;
 
-impl ShardExecutor for SerialExecutor {
-    fn run<'a>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'a>>) {
-        for t in tasks {
-            t();
-        }
+impl SlabForward for Lanes {
+    type Error = MechanismError;
+
+    fn trailing_parts<O: PhaseObserver + ?Sized>(
+        &self,
+        trailing: &[&StructuredMatrix],
+        view: &ShardedView<'_>,
+        lanes: &ScopedExecutor,
+        observer: &O,
+    ) -> Result<Vec<Vec<f64>>, MechanismError> {
+        Ok(trailing_on_lanes(
+            trailing,
+            view,
+            lanes,
+            observer,
+            MechanismPhase::Measure,
+        ))
     }
 }
 
-/// Runs shard tasks on scoped threads, at most `threads` at a time.
-///
-/// Scoped threads (rather than a long-lived task queue) keep the executor
-/// deadlock-free by construction: a serving worker that fans out never waits
-/// on a pool that could itself be saturated with blocked workers, and the
-/// borrowed slab/output slices need no `'static` laundering. Spawn cost is
-/// microseconds against shard tasks that are expected to run for
-/// milliseconds; with `threads <= 1` tasks run inline.
-#[derive(Debug, Clone, Copy)]
-pub struct ScopedExecutor {
-    threads: usize,
-}
-
-impl ScopedExecutor {
-    /// An executor using up to `threads` concurrent scoped threads
-    /// (0 ⇒ the machine's available parallelism). An explicit `threads` is
-    /// honored even above the core count: per-slab lanes also shrink working
-    /// sets and keep allocation arenas thread-local, which measurably helps
-    /// even when cores are scarce.
-    pub fn new(threads: usize) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            threads
-        };
-        ScopedExecutor { threads }
-    }
-
-    /// The concurrency cap.
-    pub fn threads(&self) -> usize {
-        self.threads
+/// Unwraps a result that cannot fail.
+pub(crate) fn infallible<T>(r: Result<T, Infallible>) -> T {
+    match r {
+        Ok(v) => v,
+        Err(never) => match never {},
     }
 }
 
-impl ShardExecutor for ScopedExecutor {
-    fn run<'a>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'a>>) {
-        if self.threads <= 1 || tasks.len() <= 1 {
-            for t in tasks {
-                t();
-            }
-            return;
-        }
-        // Deal tasks round-robin into one lane per thread; each lane runs its
-        // tasks in order on its own scoped thread.
-        let lanes = self.threads.min(tasks.len());
-        let mut per_lane: Vec<Vec<Box<dyn FnOnce() + Send + 'a>>> =
-            (0..lanes).map(|_| Vec::new()).collect();
-        for (i, t) in tasks.into_iter().enumerate() {
-            per_lane[i % lanes].push(t);
-        }
-        std::thread::scope(|s| {
-            for lane in per_lane {
-                s.spawn(move || {
-                    for t in lane {
-                        t();
-                    }
-                });
-            }
-        });
-    }
-}
-
-/// Times one shard task and reports it as a shard span.
-fn timed_task<'a>(
+/// Wraps one shard job so its wall time is reported as a shard span.
+fn timed<'a, T>(
     observer: &'a (impl PhaseObserver + ?Sized),
     phase: MechanismPhase,
     shard: usize,
-    body: impl FnOnce() + Send + 'a,
-) -> Box<dyn FnOnce() + Send + 'a> {
-    Box::new(move || {
+    body: impl FnOnce() -> T + Send + 'a,
+) -> impl FnOnce() -> T + Send + 'a {
+    move || {
         let t = Instant::now();
-        body();
+        let out = body();
         observer.shard_phase_complete(phase, shard, t.elapsed());
-    })
+        out
+    }
 }
 
-/// The exact forward fan-out: `(⊗ factors)·x` over the slabs of `view`,
-/// bitwise identical to `kmatvec_structured(factors, view.assemble())`.
-///
-/// Falls back to the assembled plain kernel when the slab boundaries do not
-/// align with the leading factor's input mode (the result is identical
-/// either way; only the parallelism differs).
-pub fn kron_forward_sharded(
-    factors: &[&StructuredMatrix],
+/// Cuts `out` into the consecutive chunks of `blocks`, `right` cells per
+/// block row, so each job owns a disjoint output slice.
+fn split_blocks<'o>(
+    mut out: &'o mut [f64],
+    blocks: &[Range<usize>],
+    right: usize,
+) -> Vec<&'o mut [f64]> {
+    blocks
+        .iter()
+        .map(|b| {
+            let (chunk, tail) = std::mem::take(&mut out).split_at_mut(b.len() * right);
+            out = tail;
+            chunk
+        })
+        .collect()
+}
+
+/// Phase 1 of the forward fan-out on in-process lanes: the trailing-factor
+/// product of every slab, in slab order.
+fn trailing_on_lanes(
+    trailing: &[&StructuredMatrix],
     view: &ShardedView<'_>,
-    exec: &dyn ShardExecutor,
+    exec: &ScopedExecutor,
     observer: &(impl PhaseObserver + ?Sized),
     phase: MechanismPhase,
-) -> Vec<f64> {
-    let split = leading_split(factors);
-    let lead_n = split.leading.cols();
-    let rest_n = split.trailing_cols();
-    if view.ranges_on_axis(lead_n, rest_n).is_none() {
-        return hdmm_linalg::kmatvec_structured(factors, &view.assemble());
-    }
-
-    // Phase 1 — trailing factors per slab (parallel over slabs).
-    let mut parts: Vec<Vec<f64>> = vec![Vec::new(); view.slabs.len()];
-    {
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = parts
-            .iter_mut()
-            .zip(&view.slabs)
+) -> Vec<Vec<f64>> {
+    exec.run(
+        view.slabs
+            .iter()
             .enumerate()
-            .map(|(shard, (part, slab))| {
-                let trailing = &split.trailing;
-                timed_task(observer, phase, shard, move || {
-                    *part = kmatvec_trailing_slab(trailing, slab.values);
+            .map(|(shard, slab)| {
+                timed(observer, phase, shard, move || {
+                    kmatvec_trailing_slab(trailing, slab.values)
                 })
             })
-            .collect();
-        exec.run(tasks);
-    }
-
-    kron_forward_from_parts(factors, parts, exec, observer, phase)
+            .collect(),
+    )
 }
 
-/// Phases 2–3 of the forward fan-out: the ordered merge of per-slab trailing
-/// results, then the leading contraction over disjoint output-row blocks.
-///
-/// Shared by the in-process and remote executors — phase 1 is where the two
-/// differ (scoped threads over borrowed slabs vs. shard-task RPCs), while the
-/// merge and leading contraction run here on the coordinator either way, so
-/// both paths produce identical bytes by construction. `parts[i]` must be the
-/// trailing-factor product over slab `i`, in slab order.
-pub fn kron_forward_from_parts(
+/// The exact forward fan-out with phase 1 supplied by `trailing`: the
+/// ordered merge of the per-slab parts, then the leading contraction over
+/// disjoint output-row blocks. A one-slab view, or slab boundaries that do
+/// not align with the leading factor's input mode, take the contiguous
+/// kernel instead — the result is identical either way.
+fn kron_forward_via<E>(
     factors: &[&StructuredMatrix],
-    parts: Vec<Vec<f64>>,
-    exec: &dyn ShardExecutor,
+    view: &ShardedView<'_>,
+    exec: &ScopedExecutor,
     observer: &(impl PhaseObserver + ?Sized),
     phase: MechanismPhase,
-) -> Vec<f64> {
+    trailing: &mut TrailingFn<'_, E>,
+) -> Result<Vec<f64>, E> {
+    if let Some(x) = view.as_single() {
+        return Ok(kmatvec_structured(factors, x));
+    }
     let split = leading_split(factors);
     let lead_n = split.leading.cols();
-    let shards = parts.len();
+    if view.ranges_on_axis(lead_n, split.trailing_cols()).is_none() {
+        return Ok(kmatvec_structured(factors, &view.assemble()));
+    }
+    let parts = trailing(&split.trailing)?;
 
     // Phase 2 — ordered merge (pure memory move, exact).
     let right = split.trailing_rows();
@@ -338,36 +324,55 @@ pub fn kron_forward_from_parts(
         merged.extend(p);
     }
 
-    // Phase 3 — leading contraction over disjoint output-row blocks
-    // (parallel over blocks; each block replays the unsharded op order).
+    // Phase 3 — leading contraction over disjoint output-row blocks, each
+    // block replaying the unsharded op order.
     let m_lead = split.leading.rows();
     let mut out = vec![0.0; m_lead * right];
-    {
-        let blocks = partition_rows(m_lead, shards);
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(blocks.len());
-        let mut rest = out.as_mut_slice();
-        for (shard, block) in blocks.into_iter().enumerate() {
-            let (chunk, tail) = rest.split_at_mut(block.len() * right);
-            rest = tail;
-            let leading = split.leading;
-            let merged = &merged;
-            tasks.push(timed_task(observer, phase, shard, move || {
-                apply_leading_rows(leading, merged, right, block, chunk);
-            }));
-        }
-        exec.run(tasks);
-    }
-    out
+    let blocks = partition_rows(m_lead, view.shard_count());
+    let chunks = split_blocks(&mut out, &blocks, right);
+    let (leading, merged) = (split.leading, &merged);
+    exec.run(
+        chunks
+            .into_iter()
+            .zip(blocks)
+            .enumerate()
+            .map(|(shard, (chunk, block))| {
+                timed(observer, phase, shard, move || {
+                    apply_leading_rows(leading, merged, right, block, chunk);
+                })
+            })
+            .collect(),
+    );
+    Ok(out)
+}
+
+/// The exact forward fan-out: `(⊗ factors)·x` over the slabs of `view`,
+/// bitwise identical to `kmatvec_structured(factors, view.assemble())`.
+fn kron_forward_sharded(
+    factors: &[&StructuredMatrix],
+    view: &ShardedView<'_>,
+    exec: &ScopedExecutor,
+    observer: &(impl PhaseObserver + ?Sized),
+    phase: MechanismPhase,
+) -> Vec<f64> {
+    infallible(kron_forward_via(
+        factors,
+        view,
+        exec,
+        observer,
+        phase,
+        &mut |trailing| Ok(trailing_on_lanes(trailing, view, exec, observer, phase)),
+    ))
 }
 
 /// The exact transposed fan-out: `(⊗ factors)ᵀ·y`, bitwise identical to
 /// `kmatvec_transpose_structured(factors, y)`. `domain_ranges` gives the
-/// output (domain-axis) partition, typically the view's slab ranges.
-pub fn kron_transpose_sharded(
+/// output (domain-axis) partition, the view's slab ranges.
+fn kron_transpose_sharded(
     factors: &[&StructuredMatrix],
     y: &[f64],
     domain_ranges: &[Range<usize>],
-    exec: &dyn ShardExecutor,
+    exec: &ScopedExecutor,
     observer: &(impl PhaseObserver + ?Sized),
     phase: MechanismPhase,
 ) -> Vec<f64> {
@@ -376,24 +381,19 @@ pub fn kron_transpose_sharded(
     let rest_m = split.trailing_rows();
 
     // Phase 1 — trailing transposes per measurement-axis slab.
-    let y_blocks = partition_rows(m_lead, domain_ranges.len());
-    let mut parts: Vec<Vec<f64>> = vec![Vec::new(); y_blocks.len()];
-    {
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = parts
-            .iter_mut()
-            .zip(&y_blocks)
+    let trailing = &split.trailing;
+    let parts = exec.run(
+        partition_rows(m_lead, domain_ranges.len())
+            .into_iter()
             .enumerate()
-            .map(|(shard, (part, block))| {
+            .map(|(shard, block)| {
                 let slab = &y[block.start * rest_m..block.end * rest_m];
-                let trailing = &split.trailing;
-                timed_task(observer, phase, shard, move || {
-                    *part = kmatvec_transpose_trailing_slab(trailing, slab);
+                timed(observer, phase, shard, move || {
+                    kmatvec_transpose_trailing_slab(trailing, slab)
                 })
             })
-            .collect();
-        exec.run(tasks);
-    }
-
+            .collect(),
+    );
     let right = split.trailing_cols();
     let mut merged = Vec::with_capacity(m_lead * right);
     for p in parts {
@@ -401,64 +401,69 @@ pub fn kron_transpose_sharded(
     }
 
     // Phase 2 — leading transpose over disjoint domain-axis blocks.
-    let lead_n = split.leading.cols();
-    let mut out = vec![0.0; lead_n * right];
-    {
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(domain_ranges.len());
-        let mut rest = out.as_mut_slice();
-        for (shard, block) in domain_ranges.iter().enumerate() {
-            let (chunk, tail) = rest.split_at_mut(block.len() * right);
-            rest = tail;
-            let leading = split.leading;
-            let merged = &merged;
-            let block = block.clone();
-            tasks.push(timed_task(observer, phase, shard, move || {
-                apply_leading_transpose_rows(leading, merged, right, block, chunk);
-            }));
-        }
-        exec.run(tasks);
-    }
+    let mut out = vec![0.0; split.leading.cols() * right];
+    let chunks = split_blocks(&mut out, domain_ranges, right);
+    let (leading, merged) = (split.leading, &merged);
+    exec.run(
+        chunks
+            .into_iter()
+            .zip(domain_ranges.iter().cloned())
+            .enumerate()
+            .map(|(shard, (chunk, block))| {
+                timed(observer, phase, shard, move || {
+                    apply_leading_transpose_rows(leading, merged, right, block, chunk);
+                })
+            })
+            .collect(),
+    );
     out
 }
 
-/// Row-partitioned explicit matvec, exact w.r.t. `a.matvec(x)`.
-pub fn explicit_forward_sharded(
-    a: &hdmm_linalg::Matrix,
-    x: &[f64],
-    parts: usize,
-    exec: &dyn ShardExecutor,
+/// Row-partitioned explicit matvec over the view, exact w.r.t.
+/// `a.matvec(x)`; a one-slab view is that matvec.
+fn explicit_forward(
+    a: &Matrix,
+    view: &ShardedView<'_>,
+    exec: &ScopedExecutor,
     observer: &(impl PhaseObserver + ?Sized),
-    phase: MechanismPhase,
 ) -> Vec<f64> {
-    let mut out = vec![0.0; a.rows()];
-    let blocks = partition_rows(a.rows(), parts);
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(blocks.len());
-    let mut rest = out.as_mut_slice();
-    for (shard, block) in blocks.into_iter().enumerate() {
-        let (chunk, tail) = rest.split_at_mut(block.len());
-        rest = tail;
-        tasks.push(timed_task(observer, phase, shard, move || {
-            matvec_rows(a, x, block, chunk);
-        }));
+    if let Some(x) = view.as_single() {
+        return a.matvec(x);
     }
-    exec.run(tasks);
+    let x = view.assemble();
+    let blocks = partition_rows(a.rows(), view.shard_count());
+    let mut out = vec![0.0; a.rows()];
+    let chunks = split_blocks(&mut out, &blocks, 1);
+    let x = &x;
+    exec.run(
+        chunks
+            .into_iter()
+            .zip(blocks)
+            .enumerate()
+            .map(|(shard, (chunk, block))| {
+                timed(observer, MechanismPhase::Measure, shard, move || {
+                    matvec_rows(a, x, block, chunk);
+                })
+            })
+            .collect(),
+    );
     out
 }
 
-/// The strategy-generic MEASURE skeleton, parametrized over the two forward
+/// The strategy-generic MEASURE walk, parametrized over the two forward
 /// kernels: per-strategy sensitivity, block ordering, theta scaling, and the
 /// noise-draw order live here — written exactly once — while `explicit`
 /// (dense matvec) and `forward` (Kronecker factor product over the data)
-/// decide *where* the flops run. The in-process path supplies infallible
-/// closures over the scoped-thread fan-out; the remote path supplies
-/// RPC-backed closures that can fail with a transport error. Noise is always
-/// drawn *after* a block's forward product succeeds, and blocks are visited
-/// in strategy order, so every caller consumes the RNG stream identically —
-/// the root of the byte-identity guarantee across executors.
+/// decide *where* the flops run. [`measure`](crate::measure) supplies the
+/// contiguous kernels; the pipeline supplies the slab fan-out, whose
+/// trailing products may be RPCs that fail with a transport error. Noise is
+/// always drawn *after* a block's forward product succeeds, and blocks are
+/// visited in strategy order, so every caller consumes the RNG stream
+/// identically — the root of the byte-identity guarantee across sources.
 ///
 /// # Panics
-/// Panics if `eps` is not positive (mirror of the plain path; use
-/// [`try_run_mechanism_sharded_observed`] for typed validation).
+/// Panics if `eps` is not positive (use [`crate::Pipeline`] for typed
+/// validation).
 pub fn measure_with<E>(
     strategy: &Strategy,
     eps: f64,
@@ -511,6 +516,7 @@ pub fn measure_with<E>(
             blocks
         }
         Strategy::Union(groups) => {
+            // Sequential composition: group g runs at ε_g = share_g·ε.
             let mut blocks = Vec::with_capacity(groups.len());
             for g in groups {
                 let sens: f64 = g
@@ -533,72 +539,77 @@ pub fn measure_with<E>(
     Ok(Measurements { blocks, eps })
 }
 
-/// Sharded MEASURE: computes `A·x` through the per-slab fan-out and adds
-/// Laplace noise exactly once over the assembled measurement vector —
-/// bitwise identical to [`measure`](crate::measure) on the assembled data
-/// for every shard count, so ε-differential privacy holds unchanged.
+/// MEASURE over `view` with phase 1 of every Kronecker product supplied by
+/// `trailing` — the walk the pipeline and [`measure_sharded`] share.
+pub(crate) fn measure_view<E>(
+    strategy: &Strategy,
+    view: &ShardedView<'_>,
+    eps: f64,
+    rng: &mut impl Rng,
+    exec: &ScopedExecutor,
+    observer: &(impl PhaseObserver + ?Sized),
+    trailing: &mut TrailingFn<'_, E>,
+) -> Result<Measurements, E> {
+    measure_with(
+        strategy,
+        eps,
+        rng,
+        &mut |a| Ok(explicit_forward(a, view, exec, observer)),
+        &mut |refs| {
+            kron_forward_via(
+                refs,
+                view,
+                exec,
+                observer,
+                MechanismPhase::Measure,
+                trailing,
+            )
+        },
+    )
+}
+
+/// Sharded MEASURE on in-process lanes: computes `A·x` through the per-slab
+/// fan-out and adds Laplace noise exactly once over the assembled
+/// measurement vector — bitwise identical to [`measure`](crate::measure) on
+/// the assembled data for every shard count, so ε-differential privacy holds
+/// unchanged.
 ///
 /// # Panics
-/// Panics if `eps` is not positive (mirror of the plain path; use
-/// [`try_run_mechanism_sharded_observed`] for typed validation).
+/// Panics if `eps` is not positive (use [`crate::Pipeline`] for typed
+/// validation).
 pub fn measure_sharded(
     strategy: &Strategy,
     view: &ShardedView<'_>,
     eps: f64,
     rng: &mut impl Rng,
-    exec: &dyn ShardExecutor,
+    exec: &ScopedExecutor,
     observer: &(impl PhaseObserver + ?Sized),
 ) -> Measurements {
-    let phase = MechanismPhase::Measure;
-    let result: Result<Measurements, std::convert::Infallible> = measure_with(
+    infallible(measure_view(
         strategy,
+        view,
         eps,
         rng,
-        &mut |a| {
-            let x = view.assemble();
-            Ok(explicit_forward_sharded(
-                a,
-                &x,
-                view.shard_count(),
-                exec,
-                observer,
-                phase,
-            ))
-        },
-        &mut |refs| Ok(kron_forward_sharded(refs, view, exec, observer, phase)),
-    );
-    match result {
-        Ok(meas) => meas,
-        Err(never) => match never {},
-    }
-}
-
-/// Sharded RECONSTRUCT: scatters `x̂` back per domain slab. Bitwise identical
-/// to [`reconstruct`](crate::reconstruct). Kronecker strategies fan both
-/// passes out; unions keep their global solve (closed form or LSMR) and
-/// marginals their subset-tree `G(v)·Mᵀy`, each as one serial stage.
-pub fn reconstruct_sharded(
-    strategy: &Strategy,
-    meas: &Measurements,
-    view: &ShardedView<'_>,
-    exec: &dyn ShardExecutor,
-    observer: &(impl PhaseObserver + ?Sized),
-) -> Vec<f64> {
-    reconstruct_sharded_with(
-        &PreparedReconstruct::new(strategy),
-        strategy,
-        meas,
-        view,
         exec,
         observer,
-    )
+        &mut |trailing| {
+            Ok(trailing_on_lanes(
+                trailing,
+                view,
+                exec,
+                observer,
+                MechanismPhase::Measure,
+            ))
+        },
+    ))
 }
 
-/// [`reconstruct_sharded`] with the strategy factorization supplied by the
-/// caller ([`PreparedReconstruct`]); the fan-out no longer rebuilds the
-/// per-factor inverse Grams (Kron) or the subset algebra (marginals) per
-/// request. Bitwise identical to `reconstruct_sharded` for a `prepared` built
-/// from the same strategy.
+/// Sharded RECONSTRUCT with the strategy factorization supplied by the
+/// caller ([`PreparedReconstruct`]): scatters `x̂` back per domain slab,
+/// bitwise identical to [`reconstruct_with`](crate::reconstruct_with).
+/// Kronecker strategies fan both passes out; unions keep their global solve
+/// (closed form or LSMR) and marginals their subset-tree `G(v)·Mᵀy`, each
+/// as one serial stage.
 ///
 /// # Panics
 /// Panics if `prepared` was built from a different strategy variant.
@@ -607,65 +618,53 @@ pub fn reconstruct_sharded_with(
     strategy: &Strategy,
     meas: &Measurements,
     view: &ShardedView<'_>,
-    exec: &dyn ShardExecutor,
+    exec: &ScopedExecutor,
     observer: &(impl PhaseObserver + ?Sized),
 ) -> Vec<f64> {
+    // One slab, explicit strategies (small 1-D domains), unions (a global
+    // solve) and marginals (a few passes over the domain in all) keep the
+    // plain serial path.
+    let (Strategy::Kron(factors), None) = (strategy, view.as_single()) else {
+        return crate::reconstruct_with(prepared, strategy, meas);
+    };
+    let PreparedReconstruct::Kron { gram_pinvs } = prepared else {
+        panic!("PreparedReconstruct was built from a different strategy variant");
+    };
+    let refs: Vec<&StructuredMatrix> = factors.iter().collect();
+    let split = leading_split(&refs);
+    let lead_n = split.leading.cols();
+    let Some(ranges) = view.ranges_on_axis(lead_n, split.trailing_cols()) else {
+        return crate::reconstruct_with(prepared, strategy, meas);
+    };
     let phase = MechanismPhase::Reconstruct;
-    match strategy {
-        // Explicit strategies live on small 1-D domains; unions solve
-        // globally (closed form or LSMR); marginals run the subset tree,
-        // whose sums cost a few passes over the domain in all. All three
-        // keep the plain serial path.
-        Strategy::Explicit(_) | Strategy::Union(_) | Strategy::Marginals(_) => {
-            crate::reconstruct_with(prepared, strategy, meas)
-        }
-        Strategy::Kron(factors) => {
-            let PreparedReconstruct::Kron { gram_pinvs } = prepared else {
-                panic!("PreparedReconstruct was built from a different strategy variant");
-            };
-            let refs: Vec<&StructuredMatrix> = factors.iter().collect();
-            let split = leading_split(&refs);
-            let lead_n = split.leading.cols();
-            let rest_n = split.trailing_cols();
-            let Some(ranges) = view.ranges_on_axis(lead_n, rest_n) else {
-                return crate::reconstruct_with(prepared, strategy, meas);
-            };
-            let y = &meas.blocks[0].noisy;
-            let aty = kron_transpose_sharded(&refs, y, &ranges, exec, observer, phase);
-            let pinv_refs: Vec<&StructuredMatrix> = gram_pinvs.iter().collect();
-            let aty_view =
-                ShardedView::new(lead_n, ranges_to_slabs(&ranges, &aty, lead_n, aty.len()));
-            kron_forward_sharded(&pinv_refs, &aty_view, exec, observer, phase)
-        }
-    }
-}
-
-/// Reinterprets a contiguous vector as slabs over the given ranges (helper
-/// for feeding an intermediate back through the forward fan-out).
-fn ranges_to_slabs<'a>(
-    ranges: &[Range<usize>],
-    x: &'a [f64],
-    leading: usize,
-    total: usize,
-) -> Vec<DataSlab<'a>> {
-    let stride = total / leading;
-    ranges
+    let aty = kron_transpose_sharded(&refs, &meas.blocks[0].noisy, &ranges, exec, observer, phase);
+    let stride = aty.len() / lead_n;
+    let aty_slabs = ranges
         .iter()
         .map(|r| DataSlab {
             rows: r.clone(),
-            values: &x[r.start * stride..r.end * stride],
+            values: &aty[r.start * stride..r.end * stride],
         })
-        .collect()
+        .collect();
+    let pinv_refs: Vec<&StructuredMatrix> = gram_pinvs.iter().collect();
+    kron_forward_sharded(
+        &pinv_refs,
+        &ShardedView::new(lead_n, aty_slabs),
+        exec,
+        observer,
+        phase,
+    )
 }
 
 /// Sharded ANSWER: evaluates the workload on the reconstructed estimate with
-/// the per-term forward fan-out. Bitwise identical to
-/// [`Workload::answer`](hdmm_workload::Workload::answer).
+/// the per-term forward fan-out over `shards` slabs. Bitwise identical to
+/// [`Workload::answer`](hdmm_workload::Workload::answer), which one shard
+/// runs directly.
 pub fn answer_sharded(
     workload: &Workload,
     x_hat: &[f64],
     shards: usize,
-    exec: &dyn ShardExecutor,
+    exec: &ScopedExecutor,
     observer: &(impl PhaseObserver + ?Sized),
 ) -> Vec<f64> {
     assert_eq!(
@@ -673,16 +672,10 @@ pub fn answer_sharded(
         workload.domain().size(),
         "data vector size mismatch"
     );
-    let leading = workload.domain().attr_size(0);
-    let stride = x_hat.len() / leading;
-    let slabs: Vec<DataSlab<'_>> = partition_rows(leading, shards)
-        .into_iter()
-        .map(|r| DataSlab {
-            rows: r.clone(),
-            values: &x_hat[r.start * stride..r.end * stride],
-        })
-        .collect();
-    let view = ShardedView::new(leading, slabs);
+    if shards <= 1 {
+        return workload.answer(x_hat);
+    }
+    let view = ShardedView::partition(x_hat, workload.domain().attr_size(0), shards);
     let mut out = Vec::with_capacity(workload.query_count());
     for t in workload.terms() {
         let refs: Vec<&StructuredMatrix> = t.factors.iter().collect();
@@ -697,73 +690,11 @@ pub fn answer_sharded(
     out
 }
 
-/// The full checked sharded pipeline with per-phase timing: budget-validated
-/// sharded MEASURE, sharded RECONSTRUCT, sharded ANSWER. Identical results
-/// to [`try_run_mechanism_observed`](crate::try_run_mechanism_observed) on
-/// the assembled data vector, per seed, for every shard count.
-#[allow(clippy::too_many_arguments)]
-pub fn try_run_mechanism_sharded_observed(
-    workload: &Workload,
-    strategy: &Strategy,
-    view: &ShardedView<'_>,
-    eps: f64,
-    remaining: f64,
-    rng: &mut impl Rng,
-    exec: &dyn ShardExecutor,
-    observer: &(impl PhaseObserver + ?Sized),
-) -> Result<MechanismResult, MechanismError> {
-    try_run_mechanism_sharded_prepared_observed(
-        workload,
-        strategy,
-        &PreparedReconstruct::new(strategy),
-        view,
-        eps,
-        remaining,
-        rng,
-        exec,
-        observer,
-    )
-}
-
-/// [`try_run_mechanism_sharded_observed`] with the strategy factorization
-/// supplied by the caller, mirroring
-/// [`try_run_mechanism_prepared_observed`](crate::try_run_mechanism_prepared_observed)
-/// for the fan-out path. Bitwise identical to the unprepared sharded variant
-/// for a `prepared` built from `strategy`.
-#[allow(clippy::too_many_arguments)]
-pub fn try_run_mechanism_sharded_prepared_observed(
-    workload: &Workload,
-    strategy: &Strategy,
-    prepared: &PreparedReconstruct,
-    view: &ShardedView<'_>,
-    eps: f64,
-    remaining: f64,
-    rng: &mut impl Rng,
-    exec: &dyn ShardExecutor,
-    observer: &(impl PhaseObserver + ?Sized),
-) -> Result<MechanismResult, MechanismError> {
-    validate_request(eps, remaining, workload.domain().size(), view.total_len())?;
-
-    let t = Instant::now();
-    let meas = measure_sharded(strategy, view, eps, rng, exec, observer);
-    observer.phase_complete(MechanismPhase::Measure, t.elapsed());
-
-    let t = Instant::now();
-    let x_hat = reconstruct_sharded_with(prepared, strategy, &meas, view, exec, observer);
-    observer.phase_complete(MechanismPhase::Reconstruct, t.elapsed());
-
-    let t = Instant::now();
-    let answers = answer_sharded(workload, &x_hat, view.shard_count(), exec, observer);
-    observer.phase_complete(MechanismPhase::Answer, t.elapsed());
-
-    Ok(MechanismResult { x_hat, answers })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::phases::NoopObserver;
-    use crate::{MarginalsStrategy, UnionGroup};
+    use crate::{MarginalsStrategy, MechanismResult, Pipeline, UnionGroup};
     use hdmm_workload::{blocks, builders, Domain};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -772,20 +703,31 @@ mod tests {
         (0..n).map(|i| ((i * 7) % 13) as f64).collect()
     }
 
-    fn view_of(x: &[f64], leading: usize, shards: usize) -> ShardedView<'_> {
-        let stride = x.len() / leading;
-        let slabs = partition_rows(leading, shards)
-            .into_iter()
-            .map(|r| DataSlab {
-                rows: r.clone(),
-                values: &x[r.start * stride..r.end * stride],
-            })
-            .collect();
-        ShardedView::new(leading, slabs)
-    }
-
     fn bits_eq(a: &[f64], b: &[f64]) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// The checked pipeline on in-process lanes, seed 42, `remaining = 1`.
+    fn serve(
+        w: &Workload,
+        s: &Strategy,
+        prepared: &PreparedReconstruct,
+        view: &ShardedView<'_>,
+        eps: f64,
+        lanes: &ScopedExecutor,
+        observer: &(impl PhaseObserver + ?Sized),
+    ) -> Result<MechanismResult, MechanismError> {
+        Pipeline {
+            workload: w,
+            strategy: s,
+            prepared,
+            view,
+            eps,
+            remaining: 1.0,
+            lanes,
+            observer,
+        }
+        .run(&mut StdRng::seed_from_u64(42), &Lanes)
     }
 
     fn strategies() -> Vec<(Workload, Strategy)> {
@@ -834,26 +776,13 @@ mod tests {
             let n = w.domain().size();
             let leading = w.domain().attr_size(0);
             let x = data(n);
-            let plain =
-                crate::try_run_mechanism(&w, &s, &x, 1.0, 1.0, &mut StdRng::seed_from_u64(42))
-                    .unwrap();
+            let plain = crate::run_mechanism(&w, &s, &x, 1.0, &mut StdRng::seed_from_u64(42));
+            let prepared = PreparedReconstruct::new(&s);
             for shards in [1usize, 2, 3, leading] {
-                for exec in [
-                    &SerialExecutor as &dyn ShardExecutor,
-                    &ScopedExecutor::new(4),
-                ] {
-                    let view = view_of(&x, leading, shards);
-                    let got = try_run_mechanism_sharded_observed(
-                        &w,
-                        &s,
-                        &view,
-                        1.0,
-                        1.0,
-                        &mut StdRng::seed_from_u64(42),
-                        exec,
-                        &NoopObserver,
-                    )
-                    .unwrap();
+                for lanes in [1, 4] {
+                    let view = ShardedView::partition(&x, leading, shards);
+                    let exec = ScopedExecutor::new(lanes);
+                    let got = serve(&w, &s, &prepared, &view, 1.0, &exec, &NoopObserver).unwrap();
                     assert!(
                         bits_eq(&got.answers, &plain.answers),
                         "{} shards={shards}: answers diverge",
@@ -871,38 +800,23 @@ mod tests {
 
     #[test]
     fn prepared_sharded_is_bitwise_identical_to_unprepared() {
+        let exec = ScopedExecutor::new(1);
         for (w, s) in strategies() {
             let n = w.domain().size();
             let leading = w.domain().attr_size(0);
             let x = data(n);
             let prepared = PreparedReconstruct::new(&s);
             for shards in [1usize, 2, leading] {
-                let view = view_of(&x, leading, shards);
-                let plain = try_run_mechanism_sharded_observed(
-                    &w,
-                    &s,
-                    &view,
-                    1.0,
-                    1.0,
-                    &mut StdRng::seed_from_u64(42),
-                    &SerialExecutor,
-                    &NoopObserver,
-                )
-                .unwrap();
-                let got = try_run_mechanism_sharded_prepared_observed(
-                    &w,
-                    &s,
-                    &prepared,
-                    &view,
-                    1.0,
-                    1.0,
-                    &mut StdRng::seed_from_u64(42),
-                    &SerialExecutor,
-                    &NoopObserver,
-                )
-                .unwrap();
+                let view = ShardedView::partition(&x, leading, shards);
+                let mut rng = StdRng::seed_from_u64(42);
+                let meas = measure_sharded(&s, &view, 1.0, &mut rng, &exec, &NoopObserver);
+                let fresh = PreparedReconstruct::new(&s);
+                let x_hat =
+                    reconstruct_sharded_with(&fresh, &s, &meas, &view, &exec, &NoopObserver);
+                let answers = answer_sharded(&w, &x_hat, shards, &exec, &NoopObserver);
+                let got = serve(&w, &s, &prepared, &view, 1.0, &exec, &NoopObserver).unwrap();
                 assert!(
-                    bits_eq(&got.x_hat, &plain.x_hat) && bits_eq(&got.answers, &plain.answers),
+                    bits_eq(&got.x_hat, &x_hat) && bits_eq(&got.answers, &answers),
                     "{} shards={shards}: prepared path diverges",
                     s.kind()
                 );
@@ -914,48 +828,22 @@ mod tests {
     fn sharded_validation_is_typed() {
         let w = builders::prefix_1d(8);
         let s = Strategy::identity(w.domain());
+        let prepared = PreparedReconstruct::new(&s);
+        let exec = ScopedExecutor::new(1);
         let x = data(8);
-        let view = view_of(&x, 8, 2);
-        let mut rng = StdRng::seed_from_u64(0);
+        let view = ShardedView::partition(&x, 8, 2);
         assert!(matches!(
-            try_run_mechanism_sharded_observed(
-                &w,
-                &s,
-                &view,
-                2.0,
-                1.0,
-                &mut rng,
-                &SerialExecutor,
-                &NoopObserver
-            ),
+            serve(&w, &s, &prepared, &view, 2.0, &exec, &NoopObserver),
             Err(MechanismError::BudgetExhausted { .. })
         ));
         assert!(matches!(
-            try_run_mechanism_sharded_observed(
-                &w,
-                &s,
-                &view,
-                f64::NAN,
-                1.0,
-                &mut rng,
-                &SerialExecutor,
-                &NoopObserver
-            ),
+            serve(&w, &s, &prepared, &view, f64::NAN, &exec, &NoopObserver),
             Err(MechanismError::InvalidEpsilon { .. })
         ));
         let short = data(6);
-        let bad_view = view_of(&short, 6, 2);
+        let bad_view = ShardedView::partition(&short, 6, 2);
         assert!(matches!(
-            try_run_mechanism_sharded_observed(
-                &w,
-                &s,
-                &bad_view,
-                0.5,
-                1.0,
-                &mut rng,
-                &SerialExecutor,
-                &NoopObserver
-            ),
+            serve(&w, &s, &prepared, &bad_view, 0.5, &exec, &NoopObserver),
             Err(MechanismError::DataVectorMismatch {
                 expected: 8,
                 got: 6
@@ -981,17 +869,16 @@ mod tests {
         let w = builders::prefix_2d(6, 4);
         let s = Strategy::kron(vec![blocks::prefix(6), blocks::prefix(4)]);
         let x = data(24);
-        let view = view_of(&x, 6, 3);
+        let view = ShardedView::partition(&x, 6, 3);
         let spans = Spans(Mutex::new(Vec::new()));
-        let mut rng = StdRng::seed_from_u64(1);
-        try_run_mechanism_sharded_observed(
+        let prepared = PreparedReconstruct::new(&s);
+        serve(
             &w,
             &s,
+            &prepared,
             &view,
             1.0,
-            1.0,
-            &mut rng,
-            &SerialExecutor,
+            &ScopedExecutor::new(1),
             &spans,
         )
         .unwrap();
@@ -1008,22 +895,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn scoped_executor_runs_every_task() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let counter = AtomicUsize::new(0);
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..17)
-            .map(|_| {
-                let c = &counter;
-                Box::new(move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        ScopedExecutor::new(4).run(tasks);
-        assert_eq!(counter.load(Ordering::SeqCst), 17);
     }
 
     #[test]

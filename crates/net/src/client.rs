@@ -15,6 +15,7 @@ use crate::wire::{
     read_frame_ext, write_frame_ext, ErrorCode, Frame, NetError, TraceExt, PROTO_V1, PROTO_V2,
 };
 use hdmm_linalg::StructuredMatrix;
+use hdmm_mechanism::{ScopedExecutor, ShardedView};
 use hdmm_obs::{NoopSpanSink, Span, SpanSink};
 use std::collections::{HashMap, HashSet};
 use std::net::TcpStream;
@@ -277,7 +278,7 @@ impl std::io::Write for DeadlineStream<'_> {
 #[derive(Clone, Copy)]
 struct RpcSpan<'a> {
     sink: &'a dyn SpanSink,
-    /// Span name: `rpc:forward`, `rpc:apply`, `rpc:load`.
+    /// Span name: `rpc:forward`, `rpc:load`.
     name: &'static str,
     /// Label of the parent phase span ([`SpanSink::parent_for`]).
     phase: &'a str,
@@ -316,14 +317,13 @@ impl WorkerPool {
         {
             let workers = pool.workers.read().expect("worker registry");
             let timeout = pool.policy.task_timeout;
-            std::thread::scope(|s| {
-                for w in workers.iter() {
-                    s.spawn(move || {
-                        let alive = matches!(w.call(&Frame::Ping, timeout), Ok(Frame::Pong { .. }));
-                        w.alive.store(alive, Ordering::Relaxed);
-                    });
+            let probes = workers.iter().map(|w| {
+                move || {
+                    let alive = matches!(w.call(&Frame::Ping, timeout), Ok(Frame::Pong { .. }));
+                    w.alive.store(alive, Ordering::Relaxed);
                 }
             });
+            ScopedExecutor::new(workers.len()).run(probes.collect());
         }
         pool
     }
@@ -388,6 +388,21 @@ impl WorkerPool {
             attempt: 0,
         };
         self.push_slab(&link, dataset, shard, rows, values, &rpc)
+    }
+
+    /// Eagerly pushes every slab of `view` to its primary worker. Purely a
+    /// warm-up: `run_slab_task` re-pushes on demand, so failures here only
+    /// cost first-request latency.
+    pub fn preload(&self, dataset: &str, view: &ShardedView<'_>) -> Result<(), NetError> {
+        for (i, slab) in view.slabs.iter().enumerate() {
+            self.load_slab(
+                dataset,
+                i as u64,
+                (slab.rows.start as u64, slab.rows.end as u64),
+                slab.values,
+            )?;
+        }
+        Ok(())
     }
 
     /// Untraced [`WorkerPool::run_slab_task_traced`].
@@ -476,57 +491,6 @@ impl WorkerPool {
                         Err(e) => last_err = self.note_failure(&link, e, attempt, &mut delay),
                     }
                 }
-                Err(e) => last_err = self.note_failure(&link, e, attempt, &mut delay),
-            }
-        }
-        Err(last_err)
-    }
-
-    /// Untraced [`WorkerPool::apply_traced`].
-    pub fn apply(
-        &self,
-        transpose: bool,
-        factors: &[StructuredMatrix],
-        payload: &[f64],
-        hint: usize,
-    ) -> Result<Vec<f64>, NetError> {
-        self.apply_traced(transpose, factors, payload, hint, &NoopSpanSink, "")
-    }
-
-    /// Runs one stateless task ([`Frame::Apply`]): trailing factors against
-    /// a payload shipped with the request. `hint` spreads blocks across live
-    /// workers; failures retry on the next live worker with the same policy.
-    /// Traced attempts are recorded as `rpc:apply` spans (see
-    /// [`WorkerPool::run_slab_task_traced`]).
-    pub fn apply_traced(
-        &self,
-        transpose: bool,
-        factors: &[StructuredMatrix],
-        payload: &[f64],
-        hint: usize,
-        sink: &dyn SpanSink,
-        phase: &str,
-    ) -> Result<Vec<f64>, NetError> {
-        let task = Frame::Apply {
-            transpose,
-            factors: factors.to_vec(),
-            payload: payload.to_vec(),
-        };
-        let mut delay = self.policy.backoff;
-        let mut last_err = NetError::NoWorkers;
-        for attempt in 0..self.policy.attempts.max(1) {
-            let Some(link) = self.pick_any(hint + attempt as usize) else {
-                break;
-            };
-            let rpc = RpcSpan {
-                sink,
-                name: "rpc:apply",
-                phase,
-                shard: hint as u64,
-                attempt,
-            };
-            match self.exec(&link, &task, &rpc) {
-                Ok(v) => return Ok(v),
                 Err(e) => last_err = self.note_failure(&link, e, attempt, &mut delay),
             }
         }
@@ -695,23 +659,6 @@ impl WorkerPool {
         }
         Some((idx, Arc::clone(&workers[idx])))
     }
-
-    /// Any live worker for a stateless task, preferring `hint % n`; falls
-    /// back to the hint slot when the whole pool looks dead.
-    fn pick_any(&self, hint: usize) -> Option<Arc<WorkerLink>> {
-        let workers = self.workers.read().expect("worker registry");
-        if workers.is_empty() {
-            return None;
-        }
-        let start = hint % workers.len();
-        for step in 0..workers.len() {
-            let cand = (start + step) % workers.len();
-            if workers[cand].alive.load(Ordering::Relaxed) {
-                return Some(Arc::clone(&workers[cand]));
-            }
-        }
-        Some(Arc::clone(&workers[start]))
-    }
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -783,7 +730,7 @@ mod tests {
         let pool = WorkerPool::connect(&[w.addr().to_string()], quick_policy());
         w.kill();
         std::thread::sleep(Duration::from_millis(20));
-        let r = pool.apply(false, &[StructuredMatrix::total(2)], &[1.0, 2.0], 0);
+        let r = pool.run_slab_task("d", 0, &[StructuredMatrix::total(2)], (0, 1), &[1.0, 2.0]);
         assert!(r.is_err(), "a dead pool must surface an error");
     }
 }

@@ -12,9 +12,11 @@
 //! * [`client`] — the coordinator's [`WorkerPool`]: task routing with
 //!   per-task timeouts, bounded retry with backoff, shard reassignment to
 //!   surviving workers, and per-worker health counters;
-//! * [`remote`] — [`RemoteExecutor`] and the full remote pipeline: MEASURE
-//!   over the workers, RECONSTRUCT / ANSWER on the coordinator, bitwise
-//!   identical to the dense single-node pipeline for every worker count.
+//! * [`remote`] — [`RemoteOptions`] and [`SlabRpc`], the source that runs
+//!   MEASURE's per-slab products on the workers inside the checked
+//!   [`Pipeline`](hdmm_mechanism::Pipeline); everything else runs on the
+//!   coordinator, bitwise identical to the dense single-node pipeline for
+//!   every worker count.
 //!
 //! The design keeps workers stateless in the failure sense: the coordinator
 //! holds the authoritative data, slabs are pushed (and re-pushed) on demand,
@@ -27,10 +29,7 @@ pub mod wire;
 pub mod worker;
 
 pub use client::{PoolHealth, RetryPolicy, WorkerHealth, WorkerPool};
-pub use remote::{
-    try_run_mechanism_remote_observed, try_run_mechanism_remote_traced, RemoteError,
-    RemoteExecutor, RemoteOptions,
-};
+pub use remote::{RemoteError, RemoteOptions, SlabRpc};
 pub use wire::{
     decode_frame, decode_frame_ext, encode_frame, encode_frame_ext, read_frame, read_frame_ext,
     write_frame, write_frame_ext, ErrorCode, Frame, NetError, TraceExt, WireSpan, MAX_FRAME_BYTES,

@@ -25,9 +25,16 @@
 //! its per-link negotiation). Workers always answer in the version the
 //! request arrived in, so an old coordinator never sees v2 bytes.
 //!
-//! Every task frame is **pure and idempotent** — a `SlabForward` or `Apply`
-//! computes a deterministic function of its inputs and mutates nothing — so
-//! the client may retry at-least-once on timeout without coordination.
+//! Every task frame is **pure and idempotent** — a `SlabForward` computes a
+//! deterministic function of its inputs and mutates nothing — so the client
+//! may retry at-least-once on timeout without coordination.
+//!
+//! **Retired tags.** Kind tag 3 carried the stateless `Apply` task (trailing
+//! factors against a shipped payload) until RECONSTRUCT moved onto the
+//! coordinator. It is retired and must never be reused: a worker decodes it
+//! as [`CodecError::BadTag`] and drops the connection, which an older
+//! coordinator counts as a failed attempt before falling back to local
+//! serving.
 //!
 //! [`PlanStore`]: https://docs.rs/hdmm-engine
 
@@ -63,7 +70,7 @@ const MAX_EXT_SPANS: usize = 1 << 16;
 /// also assigned coordinator-side, keeping them unique within the trace).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireSpan {
-    /// Span name (`worker:forward`, `worker:apply`, `worker:load`).
+    /// Span name (`worker:forward`, `worker:load`).
     pub name: String,
     /// Duration in nanoseconds on the worker's clock.
     pub dur_ns: u64,
@@ -185,18 +192,6 @@ pub enum Frame {
         /// Trailing factors, outermost first.
         factors: Vec<StructuredMatrix>,
     },
-    /// Stateless task: apply trailing factors (forward or transposed) to a
-    /// payload block shipped with the task. Kept on the wire for protocol
-    /// compatibility; the serving pipeline no longer sends it, since
-    /// RECONSTRUCT runs on the coordinator.
-    Apply {
-        /// `true` for the transposed kernel (`Aᵀ`-side passes).
-        transpose: bool,
-        /// Trailing factors, outermost first.
-        factors: Vec<StructuredMatrix>,
-        /// The payload block to contract.
-        payload: Vec<f64>,
-    },
     /// Response to [`Frame::Ping`]: how many slabs the worker holds.
     Pong {
         /// Number of loaded slabs.
@@ -225,7 +220,6 @@ impl Frame {
             Frame::Ping => "ping",
             Frame::LoadSlab { .. } => "load-slab",
             Frame::SlabForward { .. } => "slab-forward",
-            Frame::Apply { .. } => "apply",
             Frame::Pong { .. } => "pong",
             Frame::Loaded => "loaded",
             Frame::Part { .. } => "part",
@@ -262,10 +256,6 @@ pub enum NetError {
     },
     /// No worker in the pool could run the task (all dead / pool empty).
     NoWorkers,
-    /// The task shape cannot fan out remotely (e.g. slab boundaries
-    /// misaligned with the leading factor); the caller should fall back to
-    /// the local pipeline.
-    Unsupported(&'static str),
 }
 
 impl std::fmt::Display for NetError {
@@ -281,7 +271,6 @@ impl std::fmt::Display for NetError {
             }
             NetError::Unexpected { got } => write!(f, "unexpected response frame: {got}"),
             NetError::NoWorkers => write!(f, "no live workers available"),
-            NetError::Unsupported(what) => write!(f, "not remotable: {what}"),
         }
     }
 }
@@ -365,16 +354,6 @@ fn put_body(out: &mut Vec<u8>, frame: &Frame) {
             codec::put_u64(out, *shard);
             put_factors(out, factors);
         }
-        Frame::Apply {
-            transpose,
-            factors,
-            payload,
-        } => {
-            out.push(3);
-            out.push(u8::from(*transpose));
-            put_factors(out, factors);
-            codec::put_f64s(out, payload);
-        }
         Frame::Pong { slabs } => {
             out.push(4);
             codec::put_u64(out, *slabs);
@@ -429,15 +408,7 @@ pub fn decode_frame_ext(bytes: &[u8]) -> Result<(Frame, Option<TraceExt>), Codec
             shard: r.u64()?,
             factors: read_factors(&mut r)?,
         },
-        3 => Frame::Apply {
-            transpose: match r.u8()? {
-                0 => false,
-                1 => true,
-                tag => return Err(CodecError::BadTag { tag }),
-            },
-            factors: read_factors(&mut r)?,
-            payload: r.f64s()?,
-        },
+        // 3 is the retired `Apply` task; it falls through to `BadTag`.
         4 => Frame::Pong { slabs: r.u64()? },
         5 => Frame::Loaded,
         6 => Frame::Part { values: r.f64s()? },

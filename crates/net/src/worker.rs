@@ -24,7 +24,7 @@
 //! network only — never expose the port beyond the coordinator's network.
 
 use crate::wire::{read_frame_ext, write_frame_ext, ErrorCode, Frame, TraceExt, WireSpan};
-use hdmm_linalg::{kmatvec_trailing_slab, kmatvec_transpose_trailing_slab, StructuredMatrix};
+use hdmm_linalg::{kmatvec_trailing_slab, StructuredMatrix};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -243,17 +243,7 @@ fn handle(request: Frame, shared: &Shared) -> (Frame, Vec<WireSpan>) {
                 );
             };
             timed(&mut spans, "worker:forward", || {
-                compute(&factors, &slab.values, false)
-            })
-        }
-        Frame::Apply {
-            transpose,
-            factors,
-            payload,
-        } => {
-            std::thread::sleep(shared.opts.task_delay);
-            timed(&mut spans, "worker:apply", || {
-                compute(&factors, &payload, transpose)
+                compute(&factors, &slab.values)
             })
         }
         // Response frames are not valid requests.
@@ -267,14 +257,10 @@ fn handle(request: Frame, shared: &Shared) -> (Frame, Vec<WireSpan>) {
 
 /// Runs a trailing kernel under `catch_unwind` so shape mismatches come back
 /// as typed errors instead of dead connections.
-fn compute(factors: &[StructuredMatrix], payload: &[f64], transpose: bool) -> Frame {
+fn compute(factors: &[StructuredMatrix], slab: &[f64]) -> Frame {
     let refs: Vec<&StructuredMatrix> = factors.iter().collect();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if transpose {
-            kmatvec_transpose_trailing_slab(&refs, payload)
-        } else {
-            kmatvec_trailing_slab(&refs, payload)
-        }
+        kmatvec_trailing_slab(&refs, slab)
     }));
     match result {
         Ok(values) => Frame::Part { values },

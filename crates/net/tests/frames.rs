@@ -4,6 +4,7 @@
 //! bytes, oversized length prefixes) always yields a **typed error**, never
 //! a panic and never a partial read that decodes to a different frame.
 
+use hdmm_core::codec::{self, CodecError};
 use hdmm_linalg::{Matrix, StructuredMatrix};
 use hdmm_net::{
     decode_frame, decode_frame_ext, encode_frame, encode_frame_ext, read_frame, write_frame,
@@ -76,15 +77,10 @@ fn frame_from(which: usize, n: usize, len: usize, seed: u64, kinds: &[usize]) ->
             rows: (seed % 7, seed % 7 + 1 + len as u64),
             values: values_from(seed, len.max(1)),
         },
-        6 => Frame::SlabForward {
+        _ => Frame::SlabForward {
             dataset: format!("ds-{}", seed % 5),
             shard: seed % 16,
             factors,
-        },
-        _ => Frame::Apply {
-            transpose: seed.is_multiple_of(2),
-            factors,
-            payload: values_from(seed, len),
         },
     }
 }
@@ -96,7 +92,7 @@ proptest! {
     /// codec and through the length-prefixed stream.
     #[test]
     fn every_frame_kind_round_trips_bit_exactly(
-        which in 0usize..8,
+        which in 0usize..7,
         n in 1usize..6,
         len in 0usize..40,
         seed in 0u64..10_000,
@@ -118,7 +114,7 @@ proptest! {
     /// a panic, and never a shorter frame that happens to decode.
     #[test]
     fn truncated_frames_are_typed_errors(
-        which in 0usize..8,
+        which in 0usize..7,
         n in 1usize..5,
         len in 0usize..20,
         seed in 0u64..10_000,
@@ -151,7 +147,7 @@ proptest! {
     /// so a one-byte change can never collide with the original checksum.
     #[test]
     fn flipped_bytes_never_decode(
-        which in 0usize..8,
+        which in 0usize..7,
         n in 1usize..5,
         len in 0usize..20,
         seed in 0u64..10_000,
@@ -174,7 +170,7 @@ proptest! {
     /// the frame, the trace identity, and every worker-side span.
     #[test]
     fn v2_trace_extension_round_trips_bit_exactly(
-        which in 0usize..8,
+        which in 0usize..7,
         n in 1usize..5,
         len in 0usize..20,
         seed in 0u64..10_000,
@@ -209,7 +205,7 @@ proptest! {
     /// always talk to an old worker's bytes.
     #[test]
     fn v1_bytes_decode_through_the_v2_reader(
-        which in 0usize..8,
+        which in 0usize..7,
         n in 1usize..5,
         len in 0usize..20,
         seed in 0u64..10_000,
@@ -229,7 +225,7 @@ proptest! {
     /// yields the same frame.
     #[test]
     fn untraced_v2_is_byte_identical_v1_and_the_extension_is_pure_metadata(
-        which in 0usize..8,
+        which in 0usize..7,
         n in 1usize..5,
         len in 0usize..20,
         seed in 0u64..10_000,
@@ -271,4 +267,30 @@ fn garbage_and_wrong_magic_are_typed_errors() {
     let mut encoded = encode_frame(&Frame::Ping);
     encoded[0] ^= 0xff; // corrupt the magic inside the sealed envelope
     assert!(decode_frame(&encoded).is_err());
+}
+
+/// Kind tag 3 (the retired stateless `Apply` task) never decodes again: a
+/// well-sealed frame carrying it is a typed `BadTag`, so a worker drops the
+/// connection of a coordinator that still sends it.
+#[test]
+fn retired_apply_tag_is_a_bad_tag() {
+    for version in [b'1', b'2'] {
+        let mut payload = b"HNW".to_vec();
+        payload.push(version);
+        if version == b'2' {
+            // An untraced extension: trace id, parent span id, no spans.
+            codec::put_u64(&mut payload, 0);
+            codec::put_u64(&mut payload, 0);
+            codec::put_usize(&mut payload, 0);
+        }
+        payload.push(3);
+        payload.push(0); // the old `transpose` flag
+        codec::seal(&mut payload);
+        assert_eq!(
+            decode_frame(&payload).unwrap_err(),
+            CodecError::BadTag { tag: 3 },
+            "protocol version {}",
+            version as char
+        );
+    }
 }

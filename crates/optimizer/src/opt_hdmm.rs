@@ -9,8 +9,8 @@
 use crate::opt_kron::{opt_kron, OptKronOptions};
 use crate::opt_marginals::opt_marginals;
 use crate::opt_plus::{group_terms, opt_plus};
-use crate::restart::{restart_seed, RestartExecutor, RestartObserver};
-use hdmm_mechanism::Strategy;
+use crate::restart::{restart_seed, RestartObserver};
+use hdmm_mechanism::{ScopedExecutor, Strategy};
 use hdmm_workload::{Workload, WorkloadGrams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -142,7 +142,7 @@ pub(crate) fn fold_candidates(
 /// Every `(restart, operator)` cell draws from its own derived stream
 /// ([`restart_seed`]), so a cell's candidate is independent of restart count,
 /// operator applicability, and evaluation order — which is what lets
-/// [`RestartExecutor`] fan the grid over threads without changing the argmin.
+/// [`ScopedExecutor`] fan the grid over threads without changing the argmin.
 pub fn opt_hdmm_grams_observed(
     grams: &WorkloadGrams,
     ps: &[usize],
@@ -219,7 +219,7 @@ pub fn opt_hdmm_grams_observed(
         })
         .collect();
 
-    let results = RestartExecutor::new(opts.threads).run(jobs);
+    let results = ScopedExecutor::new(opts.threads).run(jobs);
     fold_candidates(identity_fallback(grams), results)
 }
 

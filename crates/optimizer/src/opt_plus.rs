@@ -18,7 +18,8 @@ use rand::Rng;
 pub struct OptPlusResult {
     /// The union strategy with budget shares and term assignments.
     pub strategy: Strategy,
-    /// Squared error including the budget split: `Σ_g residual_g / share_g²`.
+    /// Squared error including the budget split: `Σ_g residual_g / share_g²`
+    /// — `INFINITY` (a failed cell) when a share is not finite and positive.
     pub squared_error: f64,
     /// Per-group `OPT_⊗` results.
     pub groups: Vec<OptKronResult>,
@@ -83,16 +84,8 @@ pub fn opt_plus(
         group_results.push(res);
     }
 
-    // Optimal budget shares: minimize Σ r_g/s_g² s.t. Σ s_g = 1 ⇒ s_g ∝ r_g^⅓.
-    let cube_roots: Vec<f64> = residuals.iter().map(|r| r.cbrt()).collect();
-    let total: f64 = cube_roots.iter().sum();
-    let shares: Vec<f64> = cube_roots.iter().map(|c| c / total.max(1e-300)).collect();
-
-    let squared_error: f64 = residuals
-        .iter()
-        .zip(&shares)
-        .map(|(r, s)| r / (s * s))
-        .sum();
+    let shares = budget_shares(&residuals);
+    let squared_error = split_error(&residuals, &shares);
 
     let groups = group_results
         .iter()
@@ -108,6 +101,25 @@ pub fn opt_plus(
         squared_error,
         groups: group_results,
     }
+}
+
+/// Optimal budget shares: minimize `Σ r_g/s_g²` s.t. `Σ s_g = 1` ⇒
+/// `s_g ∝ r_g^⅓`.
+fn budget_shares(residuals: &[f64]) -> Vec<f64> {
+    let cube_roots: Vec<f64> = residuals.iter().map(|r| r.cbrt()).collect();
+    let total: f64 = cube_roots.iter().sum();
+    cube_roots.iter().map(|c| c / total.max(1e-300)).collect()
+}
+
+/// `Σ_g residual_g / share_g²`, or `INFINITY` — a failed cell the restart
+/// argmin skips — when any share is not finite and positive. A negative or
+/// NaN residual from `OPT_⊗` would otherwise reach MEASURE as a negative
+/// noise scale.
+fn split_error(residuals: &[f64], shares: &[f64]) -> f64 {
+    if !shares.iter().all(|s| s.is_finite() && *s > 0.0) {
+        return f64::INFINITY;
+    }
+    residuals.iter().zip(shares).map(|(r, s)| r / (s * s)).sum()
 }
 
 #[cfg(test)]
@@ -182,5 +194,20 @@ mod tests {
         };
         let equal: f64 = r.iter().map(|x| x / 0.25).sum();
         assert!(optimal < equal);
+    }
+
+    #[test]
+    fn bad_residuals_fail_the_cell_instead_of_emitting_bad_shares() {
+        for residuals in [[-1.0, 8.0], [f64::NAN, 8.0], [0.0, 0.0]] {
+            let shares = budget_shares(&residuals);
+            assert!(
+                shares.iter().any(|s| !(s.is_finite() && *s > 0.0)),
+                "{residuals:?} must yield a bad share, got {shares:?}"
+            );
+            assert_eq!(split_error(&residuals, &shares), f64::INFINITY);
+        }
+        let shares = budget_shares(&[1.0, 8.0]);
+        assert!((shares[0] - 1.0 / 3.0).abs() < 1e-12);
+        assert!((split_error(&[1.0, 8.0], &shares) - 27.0).abs() < 1e-9);
     }
 }

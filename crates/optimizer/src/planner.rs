@@ -20,9 +20,9 @@ use crate::opt_hdmm::{
 use crate::opt_kron::{opt_kron, OptKronOptions};
 use crate::opt_marginals::opt_marginals;
 use crate::opt_plus::{group_terms, opt_plus};
-use crate::restart::{restart_seed, RestartExecutor, RestartObserver};
+use crate::restart::{restart_seed, RestartObserver};
 use hdmm_linalg::StructuredMatrix;
-use hdmm_mechanism::Strategy;
+use hdmm_mechanism::{ScopedExecutor, Strategy};
 use hdmm_workload::{Workload, WorkloadGrams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -149,10 +149,11 @@ pub fn select_optimizer(workload: &Workload, opts: &HdmmOptions) -> PlanDecision
 /// Runs exactly one operator (with restarts and the Identity fallback of
 /// Algorithm 2's first line) and returns the best strategy found.
 ///
-/// `OptimizerChoice::Exhaustive` delegates to [`opt_hdmm_grams`]. Operators
-/// that do not apply to the given shape (e.g. `Plus` on a single term,
-/// `Marginals` on 1-D) quietly fall back to the nearest applicable one, so
-/// the function is total over all (choice, workload) pairs.
+/// `OptimizerChoice::Exhaustive` delegates to
+/// [`opt_hdmm_grams`](crate::opt_hdmm_grams). Operators that do not apply to
+/// the given shape (e.g. `Plus` on a single term, `Marginals` on 1-D)
+/// quietly fall back to the nearest applicable one, so the function is total
+/// over all (choice, workload) pairs.
 pub fn optimize_with_choice(
     grams: &WorkloadGrams,
     ps: &[usize],
@@ -163,7 +164,7 @@ pub fn optimize_with_choice(
 }
 
 /// [`optimize_with_choice`] with a per-cell completion observer. Restarts fan
-/// out over [`RestartExecutor`] (`opts.threads` lanes); each restart draws
+/// out over [`ScopedExecutor`] (`opts.threads` lanes); each restart draws
 /// from its own derived stream ([`restart_seed`]) under the same contract as
 /// Algorithm 2, so the selection is bitwise identical at any thread count.
 pub fn optimize_with_choice_observed(
@@ -213,7 +214,7 @@ pub fn optimize_with_choice_observed(
 
     let restarts = opts.restarts.max(1);
     observer.grid_planned(restarts);
-    let exec = RestartExecutor::new(opts.threads);
+    let exec = ScopedExecutor::new(opts.threads);
 
     // Each restart computes its candidate from a cell-derived RNG stream;
     // the in-order fold below is the deterministic argmin merge.

@@ -1,4 +1,4 @@
-//! Restart seed derivation and the parallel restart executor.
+//! Restart seed derivation for the parallel restart grid.
 //!
 //! Algorithm 2 runs its operator set across `S` random restarts. Each
 //! `(restart, operator)` cell gets its **own** RNG stream, derived from the
@@ -13,6 +13,10 @@
 //!   the earliest cell (lowest restart index, then operator order);
 //! * therefore the serial run and any parallel schedule produce bitwise
 //!   identical strategies, and adding restarts never perturbs earlier cells.
+//!
+//! The grid runs on the serving stack's one lane executor,
+//! [`ScopedExecutor`](hdmm_mechanism::ScopedExecutor): results come back in submission order, so the
+//! in-order fold reproduces the serial argmin exactly.
 
 use std::time::Duration;
 
@@ -59,81 +63,10 @@ impl RestartObserver for () {
     fn restart_complete(&self, _: &'static str, _: usize, _: f64, _: Duration) {}
 }
 
-/// Fans independent restart cells over scoped threads and returns their
-/// results **in submission order**, regardless of completion order.
-///
-/// The executor is purely a throughput device: every job is independent (its
-/// RNG stream comes from [`restart_seed`], not shared state), so the caller's
-/// in-order fold over the returned vector reproduces the serial argmin
-/// exactly. Mirrors the engine's shard executor shape — request-thread
-/// fan-out via `std::thread::scope`, lanes assigned round-robin — so it
-/// cannot deadlock against any pool.
-#[derive(Debug, Clone)]
-pub struct RestartExecutor {
-    threads: usize,
-}
-
-impl RestartExecutor {
-    /// `threads = 0` means one lane per available core; `1` runs inline on
-    /// the calling thread (the serial reference path).
-    pub fn new(threads: usize) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            threads
-        };
-        RestartExecutor { threads }
-    }
-
-    /// The lane count this executor fans out to.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Runs every job and returns results in submission order.
-    pub fn run<T, F>(&self, jobs: Vec<F>) -> Vec<T>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        if self.threads <= 1 || jobs.len() <= 1 {
-            return jobs.into_iter().map(|j| j()).collect();
-        }
-        let n = jobs.len();
-        let lanes = self.threads.min(n);
-
-        // Round-robin jobs into lanes, remembering each job's submission
-        // index so results land back in their original slots.
-        let mut lane_jobs: Vec<Vec<(usize, F)>> = (0..lanes).map(|_| Vec::new()).collect();
-        for (i, job) in jobs.into_iter().enumerate() {
-            lane_jobs[i % lanes].push((i, job));
-        }
-
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = lane_jobs
-                .into_iter()
-                .map(|lane| {
-                    scope.spawn(move || {
-                        lane.into_iter()
-                            .map(|(i, job)| (i, job()))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, v) in h.join().expect("restart worker panicked") {
-                    slots[i] = Some(v);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.expect("every restart job ran"))
-            .collect()
-    }
-}
+/// The restart grid's executor under its former name, kept only because
+/// the end-to-end benchmark (`releasebench/src/host.rs`) reads
+/// `RestartExecutor::new(threads).threads()`.
+pub use hdmm_mechanism::ScopedExecutor as RestartExecutor;
 
 #[cfg(test)]
 mod tests {
@@ -145,22 +78,6 @@ mod tests {
         assert_ne!(base, restart_seed(8, 0, "kron"), "master seed matters");
         assert_ne!(base, restart_seed(7, 1, "kron"), "restart index matters");
         assert_ne!(base, restart_seed(7, 0, "plus"), "operator tag matters");
-    }
-
-    #[test]
-    fn executor_preserves_submission_order() {
-        for threads in [1, 2, 4, 7] {
-            let exec = RestartExecutor::new(threads);
-            let jobs: Vec<_> = (0..13u64).map(|i| move || i * i).collect();
-            let out = exec.run(jobs);
-            assert_eq!(out, (0..13u64).map(|i| i * i).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn zero_threads_resolves_to_available_parallelism() {
-        assert!(RestartExecutor::new(0).threads() >= 1);
-        assert_eq!(RestartExecutor::new(3).threads(), 3);
     }
 
     #[test]

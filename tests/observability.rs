@@ -48,7 +48,6 @@ fn spawn_workers(count: usize) -> (Vec<WorkerHandle>, RemoteOptions) {
             attempts: 3,
             backoff: Duration::from_millis(10),
         },
-        local_threads: 4,
     };
     (handles, opts)
 }

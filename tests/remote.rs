@@ -9,13 +9,11 @@ use hdmm::core::{builders, Domain, QueryEngine, Workload};
 use hdmm::engine::{Engine, EngineOptions, RemoteOptions, RetryPolicy};
 use hdmm::linalg::{partition_rows, StructuredMatrix};
 use hdmm::mechanism::{
-    try_run_mechanism, DataSlab, MarginalsStrategy, NoopObserver, PreparedReconstruct, ShardedView,
-    SolveKind, Strategy, UnionGroup,
+    run_mechanism, DataSlab, MarginalsStrategy, NoopObserver, Pipeline, PreparedReconstruct,
+    ScopedExecutor, ShardedView, SolveKind, Strategy, UnionGroup,
 };
 use hdmm::optimizer::HdmmOptions;
-use hdmm_net::{
-    spawn_worker, try_run_mechanism_remote_observed, RemoteExecutor, WorkerHandle, WorkerOptions,
-};
+use hdmm_net::{spawn_worker, SlabRpc, WorkerHandle, WorkerOptions, WorkerPool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -67,7 +65,6 @@ fn spawn_workers(specs: &[Duration]) -> (Vec<WorkerHandle>, RemoteOptions) {
             attempts: 3,
             backoff: Duration::from_millis(10),
         },
-        local_threads: 4,
     };
     (handles, opts)
 }
@@ -198,21 +195,23 @@ fn remote_pipeline_with_cached_prepared_matches_dense_bitwise() {
             })
             .collect();
         let view = ShardedView::new(leading, slabs);
-        let dense = try_run_mechanism(&w, &s, &x, 1.0, 1.0, &mut StdRng::seed_from_u64(5)).unwrap();
+        let dense = run_mechanism(&w, &s, &x, 1.0, &mut StdRng::seed_from_u64(5));
         for worker_count in [1usize, 2, 3] {
             let (_handles, opts) = spawn_workers(&vec![Duration::ZERO; worker_count]);
-            let exec = RemoteExecutor::connect(&opts);
-            let got = try_run_mechanism_remote_observed(
-                &w,
-                &s,
-                &prepared,
-                "d",
-                &view,
-                1.0,
-                1.0,
+            let exec = WorkerPool::connect(&opts.workers, opts.policy.clone());
+            let got = Pipeline {
+                workload: &w,
+                strategy: &s,
+                prepared: &prepared,
+                view: &view,
+                eps: 1.0,
+                remaining: 1.0,
+                lanes: &ScopedExecutor::new(4),
+                observer: &NoopObserver,
+            }
+            .run(
                 &mut StdRng::seed_from_u64(5),
-                &exec,
-                &NoopObserver,
+                &SlabRpc::untraced(&exec, "d"),
             )
             .unwrap();
             assert!(

@@ -12,7 +12,7 @@
 use hdmm::core::{builders, Domain, QueryEngine, Workload};
 use hdmm::engine::{Engine, EngineOptions};
 use hdmm::mechanism::{
-    measure_sharded, reconstruct_sharded, DataSlab, ScopedExecutor, SerialExecutor, ShardExecutor,
+    measure_sharded, reconstruct_sharded_with, DataSlab, PreparedReconstruct, ScopedExecutor,
     ShardedView, Strategy,
 };
 use hdmm::optimizer::HdmmOptions;
@@ -169,15 +169,15 @@ proptest! {
                 .map(|r| DataSlab { rows: r.clone(), values: &x[r.start * stride..r.end * stride] })
                 .collect();
             let view = ShardedView::new(n1, slabs);
-            let exec: &dyn ShardExecutor =
-                if threaded { &ScopedExecutor::new(4) } else { &SerialExecutor };
+            let exec = &ScopedExecutor::new(if threaded { 4 } else { 1 });
             let mut rng = StdRng::seed_from_u64(seed);
             let meas = measure_sharded(&strategy, &view, 1.0, &mut rng, exec, &NoopObserver);
             for (a, b) in plain.blocks.iter().zip(&meas.blocks) {
                 prop_assert!(bits_eq(&a.noisy, &b.noisy), "measurement diverges");
                 prop_assert!(a.noise_scale.to_bits() == b.noise_scale.to_bits());
             }
-            let xhat = reconstruct_sharded(&strategy, &meas, &view, exec, &NoopObserver);
+            let prepared = PreparedReconstruct::new(&strategy);
+            let xhat = reconstruct_sharded_with(&prepared, &strategy, &meas, &view, exec, &NoopObserver);
             prop_assert!(bits_eq(&plain_xhat, &xhat), "reconstruction diverges");
             let answers = hdmm::mechanism::answer_sharded(
                 &w, &xhat, view.shard_count(), exec, &NoopObserver,
